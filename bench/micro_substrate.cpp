@@ -63,7 +63,7 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_Sha256)->Arg(32)->Arg(64)->Arg(1024)->Arg(65536);
 
 void BM_HmacSign(benchmark::State& state) {
   const auto key = hbp::util::Sha256::hash("key");

@@ -4,18 +4,12 @@
 
 namespace hbp::honeypot {
 
-namespace {
-util::Digest hash_once(const util::Digest& d) {
-  return util::Sha256::hash(std::span<const std::uint8_t>(d.data(), d.size()));
-}
-}  // namespace
-
 HashChain::HashChain(const util::Digest& tail_key, std::size_t length) {
   HBP_ASSERT(length >= 1);
   keys_.resize(length);
   keys_[length - 1] = tail_key;  // K_n
   for (std::size_t i = length - 1; i > 0; --i) {
-    keys_[i - 1] = hash_once(keys_[i]);  // K_i = H(K_{i+1})
+    keys_[i - 1] = util::Sha256::hash(keys_[i]);  // K_i = H(K_{i+1})
   }
 }
 
@@ -28,7 +22,7 @@ util::Digest HashChain::derive(const util::Digest& k_j, std::size_t j,
                                std::size_t i) {
   HBP_ASSERT(i >= 1 && i <= j);
   util::Digest d = k_j;
-  for (std::size_t step = 0; step < j - i; ++step) d = hash_once(d);
+  for (std::size_t step = 0; step < j - i; ++step) d = util::Sha256::hash(d);
   return d;
 }
 

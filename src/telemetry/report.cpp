@@ -4,6 +4,7 @@
 
 #include "telemetry/json.hpp"
 #include "util/assert.hpp"
+#include "util/sha256.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -122,6 +123,7 @@ void emit_metrics(JsonWriter& json, const Registry& registry) {
 
 void emit_perf(JsonWriter& json, const PerfStats& perf) {
   json.key("perf").begin_object();
+  json.kv("sha256_kernel", util::sha256_kernel());
   json.kv("wall_seconds", perf.wall_seconds);
   json.kv("events_executed", perf.events_executed);
   json.kv("events_per_sec", perf.events_per_sec());

@@ -3,11 +3,11 @@
 //
 // Layout contract shared by both schemas ("hbp-run-report/1" and
 // "hbp-bench/1"): every host-dependent quantity (wall times, RSS, rates
-// derived from wall time) lives exclusively inside the single top-level
-// "perf" object, which is always the LAST key of the document.  Everything
-// before "perf" is a pure function of (config, seed), so consumers — and
-// the determinism tests — can truncate at `"perf":` and compare the rest
-// byte-for-byte across runs.
+// derived from wall time, the SHA-256 kernel CPUID picked) lives
+// exclusively inside the single top-level "perf" object, which is always
+// the LAST key of the document.  Everything before "perf" is a pure
+// function of (config, seed), so consumers — and the determinism tests —
+// can truncate at `"perf":` and compare the rest byte-for-byte across runs.
 #pragma once
 
 #include <cstdint>

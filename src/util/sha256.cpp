@@ -1,6 +1,12 @@
 #include "util/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 #include "util/assert.hpp"
 
@@ -21,61 +27,194 @@ constexpr std::array<std::uint32_t, 64> kK = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
+constexpr std::array<std::uint32_t, 8> kInit = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
 std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
+
+std::uint32_t load_be32(const std::uint8_t* p) {
+  return (static_cast<std::uint32_t>(p[0]) << 24) |
+         (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) |
+         static_cast<std::uint32_t>(p[3]);
+}
+
+void store_be32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
+}
+
+void store_be64(std::uint8_t* p, std::uint64_t v) {
+  store_be32(p, static_cast<std::uint32_t>(v >> 32));
+  store_be32(p + 4, static_cast<std::uint32_t>(v));
+}
+
+// Dynamically initialised before main(); a use during another translation
+// unit's static initialisation reads the zero value and runs portable code.
+const bool g_sha_ni = detail::cpu_has_sha_ni();
+
+void compress(std::uint32_t* state, const std::uint8_t* data,
+              std::size_t blocks) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (g_sha_ni) {
+    detail::sha256_compress_sha_ni(state, data, blocks);
+    return;
+  }
+#endif
+  detail::sha256_compress_portable(state, data, blocks);
+}
+
+Digest digest_of(const std::array<std::uint32_t, 8>& h) {
+  Digest out;
+  for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, h[i]);
+  return out;
+}
+
+// Compresses the final block of a message whose last 32 bytes, `tail`,
+// start a block: tail, 0x80, zeros, then the length in bits.
+Digest finish_32(std::array<std::uint32_t, 8> h, const Digest& tail,
+                 std::uint64_t total_len) {
+  std::array<std::uint8_t, 64> block{};
+  std::memcpy(block.data(), tail.data(), tail.size());
+  block[32] = 0x80;
+  store_be64(block.data() + 56, total_len * 8);
+  compress(h.data(), block.data(), 1);
+  return digest_of(h);
+}
 
 }  // namespace
 
-Sha256::Sha256()
-    : h_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-         0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
+namespace detail {
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::array<std::uint32_t, 64> w;
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
+void sha256_compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                              std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::array<std::uint32_t, 64> w;
+    for (int i = 0; i < 16; ++i) w[i] = load_be32(data + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
   }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  h_[0] += a; h_[1] += b; h_[2] += c; h_[3] += d;
-  h_[4] += e; h_[5] += f; h_[6] += g; h_[7] += h;
 }
+
+#if defined(__x86_64__) || defined(__i386__)
+
+// Intel SHA extensions.  The state lives in two registers as ABEF and CDGH;
+// each group of four rounds adds W[4g..4g+3] + K to one message vector and
+// runs two sha256rnds2 steps.  From group 4 on, the schedule is
+// W_t = msg2(msg1(W_{t-16}, W_{t-12}) + W_{t-7}, W_{t-4}), four at a time.
+__attribute__((target("sha,sse4.1"))) void sha256_compress_sha_ni(
+    std::uint32_t* state, const std::uint8_t* data, std::size_t blocks) {
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL,
+                                       0x0405060700010203LL);
+  const __m128i dcba = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i hgfe = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(dcba, hgfe, 8);
+  __m128i cdgh = _mm_blend_epi16(hgfe, dcba, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g < 4) {
+        w[g] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            bswap);
+      } else {
+        __m128i x = _mm_sha256msg1_epu32(w[g & 3], w[(g + 1) & 3]);
+        x = _mm_add_epi32(x,
+                          _mm_alignr_epi8(w[(g + 3) & 3], w[(g + 2) & 3], 4));
+        w[g & 3] = _mm_sha256msg2_epu32(x, w[(g + 3) & 3]);
+      }
+      const __m128i wk = _mm_add_epi32(
+          w[g & 3],
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK.data() + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool cpu_has_sha_ni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & bit_SSSE3) == 0 || (ecx & bit_SSE4_1) == 0) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & bit_SHA) != 0;
+}
+
+#else
+
+bool cpu_has_sha_ni() { return false; }
+
+#endif
+
+}  // namespace detail
+
+Sha256::Sha256() : h_(kInit) {}
 
 void Sha256::update(std::span<const std::uint8_t> data) {
   HBP_ASSERT(!finished_);
+  if (data.empty()) return;
   total_len_ += data.size();
-  for (std::uint8_t byte : data) {
-    buffer_[buffer_len_++] = byte;
-    if (buffer_len_ == 64) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  if (buffer_len_ > 0) {
+    const std::size_t take = std::min(n, buffer_.size() - buffer_len_);
+    std::memcpy(buffer_.data() + buffer_len_, p, take);
+    buffer_len_ += take;
+    p += take;
+    n -= take;
+    if (buffer_len_ < buffer_.size()) return;
+    compress(h_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  const std::size_t blocks = n / 64;
+  if (blocks > 0) compress(h_.data(), p, blocks);
+  buffer_len_ = n % 64;
+  if (buffer_len_ > 0) {
+    std::memcpy(buffer_.data(), p + 64 * blocks, buffer_len_);
   }
 }
 
@@ -88,31 +227,18 @@ Digest Sha256::finish() {
   HBP_ASSERT(!finished_);
   finished_ = true;
 
-  const std::uint64_t bit_len = total_len_ * 8;
   // Padding: 0x80, zeros up to offset 56 (mod 64), then the 64-bit
   // big-endian message length in bits.
-  auto push = [this](std::uint8_t byte) {
-    buffer_[buffer_len_++] = byte;
-    if (buffer_len_ == 64) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
-  };
-  push(0x80);
-  while (buffer_len_ != 56) push(0x00);
-  for (int i = 7; i >= 0; --i) {
-    push(static_cast<std::uint8_t>(bit_len >> (8 * i)));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    compress(h_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  HBP_ASSERT(buffer_len_ == 0);
-
-  Digest out;
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(h_[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(h_[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(h_[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(h_[i]);
-  }
-  return out;
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  store_be64(buffer_.data() + 56, total_len_ * 8);
+  compress(h_.data(), buffer_.data(), 1);
+  return digest_of(h_);
 }
 
 Digest Sha256::hash(std::span<const std::uint8_t> data) {
@@ -126,6 +252,8 @@ Digest Sha256::hash(std::string_view sv) {
   s.update(sv);
   return s.finish();
 }
+
+Digest Sha256::hash(const Digest& data) { return finish_32(kInit, data, 32); }
 
 Digest hmac_sha256(std::span<const std::uint8_t> key,
                    std::span<const std::uint8_t> message) {
@@ -148,10 +276,9 @@ Digest hmac_sha256(std::span<const std::uint8_t> key,
   inner.update(message);
   const Digest inner_digest = inner.finish();
 
-  Sha256 outer;
-  outer.update(opad);
-  outer.update(inner_digest);
-  return outer.finish();
+  std::array<std::uint32_t, 8> outer = kInit;
+  compress(outer.data(), opad.data(), 1);
+  return finish_32(outer, inner_digest, 64 + 32);
 }
 
 Digest hmac_sha256(const Digest& key, std::string_view message) {
@@ -166,6 +293,8 @@ bool digest_equal(const Digest& a, const Digest& b) {
   for (std::size_t i = 0; i < a.size(); ++i) diff |= a[i] ^ b[i];
   return diff == 0;
 }
+
+const char* sha256_kernel() { return g_sha_ni ? "sha-ni" : "portable"; }
 
 std::string to_hex(const Digest& d) {
   static constexpr char kHex[] = "0123456789abcdef";

@@ -98,8 +98,9 @@ void count_delivery(const hbp::sim::Packet&) { ++g_delivered; }
 
 // Returns the number of heap allocations observed during a 5-simulated-
 // second measurement window after a 3-second warm-up, plus the packet-hop
-// count of the window via out-params.
-std::uint64_t audit_backend(hbp::sim::SchedulerKind kind,
+// count of the window via out-params.  Unused in the debug and ASan builds,
+// where main() skips.
+[[maybe_unused]] std::uint64_t audit_backend(hbp::sim::SchedulerKind kind,
                             std::uint64_t* hops_out) {
   using namespace hbp;
   sim::Simulator simulator(kind);

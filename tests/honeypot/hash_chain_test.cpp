@@ -80,5 +80,18 @@ TEST(HashChain, DifferentTailsDisjointChains) {
   }
 }
 
+// A full-length chain (the string scenario's 8192 keys) against hex
+// recorded from the portable byte-at-a-time implementation: a wrong fast
+// path fails here, not only in a golden digest.
+TEST(HashChain, LongChainKnownAnswers) {
+  const HashChain chain(tail(), 8192);
+  EXPECT_EQ(util::to_hex(chain.key(1)),
+            "2d01786ba3d7e1e93c42f8b057e4102914d37304bcf3db67c1a71805d2c388a2");
+  EXPECT_EQ(util::to_hex(chain.key(4096)),
+            "4772333c13e8ed4d60e232ff3c5c2ee005a0ea3cc625a4c3518564fde5d808eb");
+  EXPECT_TRUE(util::digest_equal(HashChain::derive(chain.key(4096), 4096, 1),
+                                 chain.key(1)));
+}
+
 }  // namespace
 }  // namespace hbp::honeypot

@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "util/sha256.hpp"
+
 namespace hbp::telemetry {
 namespace {
 
@@ -58,12 +60,17 @@ TEST(RunReport, PerfIsLastKeyAndOptional) {
   ASSERT_NE(perf_pos, std::string::npos);
   // Nothing after "perf" but its own object: no other top-level key follows.
   EXPECT_EQ(with_perf.find("\"metrics\":", perf_pos), std::string::npos);
+  // The host's SHA-256 kernel is host-dependent, so it sits inside "perf".
+  const auto kernel_pos = with_perf.find("\"sha256_kernel\": \"");
+  ASSERT_NE(kernel_pos, std::string::npos);
+  EXPECT_GT(kernel_pos, perf_pos);
 
   ReportOptions no_perf;
   no_perf.include_perf = false;
   const std::string without =
       render_run_report(make_manifest(), &reg, &perf, no_perf);
   EXPECT_EQ(without.find("\"perf\":"), std::string::npos);
+  EXPECT_EQ(without.find("sha256_kernel"), std::string::npos);
   // Truncating at `"perf":` and dropping the separator (",\n  ") leaves the
   // perf-less report minus its closing brace — the two documents share their
   // entire deterministic prefix.
@@ -108,6 +115,10 @@ TEST(BenchRecord, SchemaCountersAndPerfTail) {
   // Counters and metrics precede perf; perf is the trailing object.
   EXPECT_LT(out.find("\"counters\":"), perf_pos);
   EXPECT_LT(out.find("\"metrics\":"), perf_pos);
+  const auto kernel_pos = out.find("\"sha256_kernel\": \"" +
+                                  std::string(util::sha256_kernel()) + "\"");
+  ASSERT_NE(kernel_pos, std::string::npos);
+  EXPECT_GT(kernel_pos, perf_pos);
 }
 
 TEST(BenchRecord, ProfiledEventTypesAppearUnderPerf) {

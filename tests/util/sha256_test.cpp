@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -61,6 +65,93 @@ TEST_P(Sha256PaddingBoundary, MatchesIncremental) {
 INSTANTIATE_TEST_SUITE_P(Lengths, Sha256PaddingBoundary,
                          ::testing::Values(0, 1, 55, 56, 57, 63, 64, 65, 119,
                                            120, 128));
+
+// Reference digest straight from the portable kernel: the whole message
+// padded in one buffer, every block compressed in one call.
+std::string portable_reference_hex(std::span<const std::uint8_t> m) {
+  std::vector<std::uint8_t> padded(m.begin(), m.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = 8 * static_cast<std::uint64_t>(m.size());
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  std::array<std::uint32_t, 8> h = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                    0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                    0x1f83d9ab, 0x5be0cd19};
+  detail::sha256_compress_portable(h.data(), padded.data(), padded.size() / 64);
+  Digest d;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      d[4 * i + j] = static_cast<std::uint8_t>(h[i] >> (24 - 8 * j));
+    }
+  }
+  return to_hex(d);
+}
+
+// Every length 0..256, one-shot, byte by byte and through update() split at
+// random points: covers the partial-block buffering, the whole-block path
+// and both padding cases.
+TEST(Sha256, BlockwiseUpdateMatchesReferenceAtEveryLength) {
+  std::mt19937_64 rng(256);
+  std::vector<std::uint8_t> msg(256);
+  for (std::uint8_t& b : msg) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t len = 0; len <= msg.size(); ++len) {
+    const std::span<const std::uint8_t> m(msg.data(), len);
+    const std::string want = portable_reference_hex(m);
+    ASSERT_EQ(to_hex(Sha256::hash(m)), want) << "len " << len;
+    Sha256 bytewise;
+    for (std::size_t i = 0; i < len; ++i) bytewise.update(m.subspan(i, 1));
+    ASSERT_EQ(to_hex(bytewise.finish()), want) << "len " << len;
+    for (int trial = 0; trial < 4; ++trial) {
+      Sha256 split;
+      std::size_t at = 0;
+      while (at < len) {
+        const std::size_t n = std::min<std::size_t>(len - at, rng() % 80);
+        split.update(m.subspan(at, n));
+        at += n;
+      }
+      ASSERT_EQ(to_hex(split.finish()), want) << "len " << len;
+    }
+  }
+}
+
+TEST(Sha256, DigestOverloadMatchesSpan) {
+  Digest d = Sha256::hash("seed");
+  for (int i = 0; i < 64; ++i) {
+    const Digest next = Sha256::hash(d);
+    EXPECT_EQ(next,
+              Sha256::hash(std::span<const std::uint8_t>(d.data(), d.size())));
+    d = next;
+  }
+}
+
+// The SHA-NI kernel against the portable one, block for block, on 10k
+// pseudo-random (state, block) pairs and on multi-block runs.
+TEST(Sha256Kernels, HardwareMatchesPortable) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (!detail::cpu_has_sha_ni()) GTEST_SKIP() << "CPUID reports no SHA-NI";
+  std::mt19937 rng(20060425);
+  std::array<std::uint8_t, 64 * 4> data{};
+  for (int trial = 0; trial < 10000; ++trial) {
+    std::array<std::uint32_t, 8> portable{};
+    for (std::uint32_t& w : portable) w = rng();
+    for (std::uint8_t& b : data) b = static_cast<std::uint8_t>(rng());
+    const std::size_t blocks = trial % 4 + 1;
+    std::array<std::uint32_t, 8> hardware = portable;
+    detail::sha256_compress_portable(portable.data(), data.data(), blocks);
+    detail::sha256_compress_sha_ni(hardware.data(), data.data(), blocks);
+    ASSERT_EQ(portable, hardware) << "trial " << trial;
+  }
+#else
+  GTEST_SKIP() << "SHA-NI is x86 only";
+#endif
+}
+
+TEST(Sha256Kernels, NameMatchesCpuid) {
+  EXPECT_STREQ(sha256_kernel(),
+               detail::cpu_has_sha_ni() ? "sha-ni" : "portable");
+}
 
 // RFC 4231 test case 2.
 TEST(HmacSha256, Rfc4231Case2) {

@@ -1,8 +1,9 @@
 # Compares two hbp-bench/1 records (BENCH_*.json) and prints the headline
 # perf deltas: wall time, events/sec, wall-per-sim-second, peak RSS, plus
-# every deterministic counter, flagging values that moved.  Pure CMake
-# (string(JSON)) so it needs nothing beyond the toolchain the build already
-# requires.
+# every deterministic counter, flagging values that moved.  Warns when the
+# records ran different SHA-256 kernels, whose timings do not compare.  Pure
+# CMake (string(JSON)) so it needs nothing beyond the toolchain the build
+# already requires.
 #
 #   cmake -DBENCH_A=old.json -DBENCH_B=new.json -P tools/bench_diff.cmake
 #
@@ -85,6 +86,20 @@ message("  A: ${BENCH_A}")
 message("  B: ${BENCH_B}")
 message("")
 message("perf:")
+# The SHA-256 kernel is picked from CPUID at start-up (older records lack
+# the key).
+foreach(side A B)
+  string(JSON kernel_${side} ERROR_VARIABLE err GET "${doc_${side}}" perf
+         sha256_kernel)
+  if(NOT err STREQUAL "NOTFOUND")
+    set(kernel_${side} "<missing>")
+  endif()
+endforeach()
+message("  sha256_kernel: ${kernel_A} -> ${kernel_B}")
+if(NOT kernel_A STREQUAL kernel_B)
+  message(WARNING "different SHA-256 kernels ('${kernel_A}' vs "
+                  "'${kernel_B}'): timings do not compare")
+endif()
 foreach(key wall_seconds events_executed events_per_sec wall_per_sim_second
         peak_rss_bytes peak_event_queue_depth)
   string(JSON va ERROR_VARIABLE ea GET "${doc_A}" perf ${key})
