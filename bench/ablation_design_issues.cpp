@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
       config.hbp.ingress_mode = mode;
       const auto summary = scenario::run_replicated(config, common.seeds,
                                                     common.base_seed, &pool);
-      report.add_summary(summary);
+      report.add(summary);
       report.add_counter(
           std::string("capture_fraction.") +
               (mode == core::HbpParams::IngressMode::kMarking ? "marking"
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
       probe_config.benign_probe_rate = 2.0;
       const auto r =
           scenario::run_tree_experiment(probe_config, common.base_seed);
-      report.add_run(r);
+      report.add(r);
       report.add_counter(
           "false_activations.threshold=" +
               util::Table::num(static_cast<long long>(threshold)),
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
       config.pb_weighted_by_hosts = weighted;
       const auto summary = scenario::run_replicated(config, common.seeds,
                                                     common.base_seed, &pool);
-      report.add_summary(summary);
+      report.add(summary);
       report.add_counter(std::string("throughput.") +
                              (weighted ? "weighted" : "plain"),
                          summary.throughput.mean());
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
       config.pb.max_depth = depth;
       const auto summary = scenario::run_replicated(config, common.seeds,
                                                     common.base_seed, &pool);
-      report.add_summary(summary);
+      report.add(summary);
       report.add_counter(
           "throughput.depth=" + util::Table::num(static_cast<long long>(depth)),
           summary.throughput.mean());

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     config.hbp_deploy_fraction = f;
     const auto summary =
         scenario::run_replicated(config, common.seeds, common.base_seed, &pool);
-    report.add_summary(summary);
+    report.add(summary);
     report.add_counter("capture_fraction.f=" + util::Table::num(f, 1),
                        summary.capture_fraction.mean());
     table.add_row({util::Table::percent(f, 0),

@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
     const auto basic = run(config);
     config.progressive = true;
     const auto progressive = run(config);
-    report.add_summary(basic);
-    report.add_summary(progressive);
+    report.add(basic);
+    report.add(progressive);
     report.add_counter("captured.basic.t_on=" + util::Table::num(t_on, 1),
                        static_cast<double>(basic.captured));
     report.add_counter("captured.progressive.t_on=" + util::Table::num(t_on, 1),
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     config.progressive = true;
     config.follower_delay = d;
     const auto summary = run(config);
-    report.add_summary(summary);
+    report.add(summary);
     report.add_counter("captured.follower.d=" + util::Table::num(d, 1),
                        static_cast<double>(summary.captured));
     analysis::Params params;

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
           config, common.base_seed + static_cast<std::uint64_t>(s));
       before.add(r.tcp_goodput_before);
       during.add(r.tcp_goodput_during);
-      report.add_run(r);
+      report.add(r);
     }
     report.add_counter("tcp_goodput_during." + scenario::to_string(scheme),
                        during.mean());

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   hbp_config.n_attackers = 25;
   const auto hbp =
       scenario::run_replicated(hbp_config, seeds, seed);
-  report.add_summary(hbp);
+  report.add(hbp);
   report.add_counter("hbp_throughput", hbp.throughput.mean());
   const std::string hbp_cell = util::Table::percent(hbp.throughput.mean());
 
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     const double surviving = surviving_attack_fraction(f, 25, seed + 11);
     config.n_attackers = std::max(1, static_cast<int>(25 * surviving + 0.5));
     const auto r = scenario::run_replicated(config, seeds, seed);
-    report.add_summary(r);
+    report.add(r);
     report.add_counter("throughput.deploy=" + util::Table::num(f, 2),
                        r.throughput.mean());
     table.add_row({util::Table::percent(f, 0),

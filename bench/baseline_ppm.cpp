@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
     hbp_config.tau = 0.5;
     const auto hbp = scenario::run_string_replicated(hbp_config, 5, seed);
     const auto hbp_one = scenario::run_string_experiment(hbp_config, seed);
-    report.add_summary(hbp);
+    report.add(hbp);
     report.add_counter(
         "hbp_capture_s.h=" + util::Table::num(static_cast<long long>(h)),
         hbp.captured > 0 ? hbp.capture_time.mean() : -1.0);

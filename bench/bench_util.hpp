@@ -36,28 +36,15 @@ class BenchReport {
     counters_.push_back({std::move(key), value});
   }
 
-  // Accumulates one experiment run: event totals, simulated time, and the
-  // run's instrument tree.
-  void add_run(const scenario::TreeResult& r) {
-    add_events(r.events_executed, r.perf.sim_seconds);
-    if (r.telemetry) metrics_.merge(*r.telemetry);
-  }
-  void add_run(const scenario::StringResult& r) {
-    add_events(r.events_executed, r.perf.sim_seconds);
-    if (r.telemetry) metrics_.merge(*r.telemetry);
+  // Accumulates one run or a replicated sweep: event totals, simulated
+  // time, and the merged instrument tree.
+  void add(const scenario::RunTotals& totals) {
+    add_events(totals.events_executed, totals.sim_seconds);
+    if (totals.metrics) metrics_.merge(*totals.metrics);
   }
   void add_events(std::uint64_t events, double sim_seconds) {
     events_ += events;
     sim_seconds_ += sim_seconds;
-  }
-  // Accumulates a replicated sweep's totals and merged metrics.
-  void add_summary(const scenario::TreeSummary& s) {
-    add_events(s.events_executed, s.sim_seconds);
-    if (s.metrics) metrics_.merge(*s.metrics);
-  }
-  void add_summary(const scenario::StringSummary& s) {
-    add_events(s.events_executed, s.sim_seconds);
-    if (s.metrics) metrics_.merge(*s.metrics);
   }
 
   void write() const {

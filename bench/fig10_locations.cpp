@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
       config.scheme = scheme;
       const auto summary = scenario::run_replicated(config, common.seeds,
                                                     common.base_seed, &pool);
-      report.add_summary(summary);
+      report.add(summary);
       report.add_counter("throughput." + scenario::to_string(placement) + "." +
                              scenario::to_string(scheme),
                          summary.throughput.mean());

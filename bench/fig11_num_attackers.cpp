@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
       const auto summary =
           scenario::run_replicated(config, common.seeds, common.base_seed,
                                    &pool);
-      report.add_summary(summary);
+      report.add(summary);
       report.add_counter("throughput.n=" +
                              util::Table::num(static_cast<long long>(n)) + "." +
                              scenario::to_string(scheme),

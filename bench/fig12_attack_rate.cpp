@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
       const auto summary =
           scenario::run_replicated(config, common.seeds, common.base_seed,
                                    &pool);
-      report.add_summary(summary);
+      report.add(summary);
       report.add_counter("throughput.rate=" + util::Table::num(rate, 2) + "." +
                              scenario::to_string(scheme),
                          summary.throughput.mean());

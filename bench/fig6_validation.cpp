@@ -29,7 +29,7 @@ void sweep(const char* title, const char* column,
     const auto config = config_for(x);
     const auto summary =
         hbp::scenario::run_string_replicated(config, runs, 42, &pool);
-    report.add_summary(summary);
+    report.add(summary);
     report.add_counter(std::string("capture_s.") + column + "=" +
                            hbp::util::Table::num(x, 2),
                        summary.capture_time.mean());

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
         scenario::Scheme::kNoDefense}) {
     config.scheme = scheme;
     auto result = scenario::run_tree_experiment(config, common.base_seed);
-    report.add_run(result);
+    report.add(result);
     report.add_counter("throughput." + scenario::to_string(scheme),
                        result.mean_client_throughput);
     names.push_back(scenario::to_string(scheme));

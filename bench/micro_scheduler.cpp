@@ -1,9 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the pending-event set: push/pop
 // throughput with and without packet payloads, cancellation churn, and a
-// classic hold-model steady state — each measured under both scheduler
-// backends (binary heap and calendar queue).  `--json <path>` additionally
-// writes an hbp-bench/1 record with deterministic packet-event throughput
-// counters for tools/bench_diff.
+// classic hold-model steady state.  `--json <path>` additionally writes an
+// hbp-bench/1 record with deterministic packet-event throughput counters
+// for tools/bench_diff.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -20,18 +19,12 @@
 
 namespace {
 
-hbp::sim::SchedulerKind kind_of(std::int64_t arg) {
-  return arg == 0 ? hbp::sim::SchedulerKind::kBinaryHeap
-                  : hbp::sim::SchedulerKind::kCalendar;
-}
-
 // Fill-then-drain of n empty events.
 void BM_PushPop(benchmark::State& state) {
-  const auto kind = kind_of(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(0));
   hbp::util::Rng rng(1);
   for (auto _ : state) {
-    hbp::sim::EventQueue q(kind);
+    hbp::sim::EventQueue q;
     for (std::size_t i = 0; i < n; ++i) {
       q.push(hbp::sim::SimTime(static_cast<std::int64_t>(rng.below(1'000'000))),
              [] {});
@@ -42,19 +35,19 @@ void BM_PushPop(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_PushPop)
-    ->ArgsProduct({{0, 1}, {1024, 16384}})
-    ->ArgNames({"cal", "n"});
+    ->Arg(1024)
+    ->Arg(16384)
+    ->ArgName("n");
 
 // The packet path's event shape: each event owns a moved-in sim::Packet.
 // This is the allocation-sensitive case — the closure must stay inside the
 // event's inline buffer and the queue slot must recycle.
 void BM_PushPopPacket(benchmark::State& state) {
-  const auto kind = kind_of(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(0));
   hbp::util::Rng rng(2);
   std::uint64_t sink = 0;
   for (auto _ : state) {
-    hbp::sim::EventQueue q(kind);
+    hbp::sim::EventQueue q;
     for (std::size_t i = 0; i < n; ++i) {
       hbp::sim::Packet p;
       p.uid = i;
@@ -70,17 +63,17 @@ void BM_PushPopPacket(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_PushPopPacket)
-    ->ArgsProduct({{0, 1}, {1024, 16384}})
-    ->ArgNames({"cal", "n"});
+    ->Arg(1024)
+    ->Arg(16384)
+    ->ArgName("n");
 
 // Retransmit-timer shape: every scheduled event is cancelled before firing
 // (TCP RTO, honeypot window guards).  Exercises slot recycling plus stale-
 // record compaction in the ordering structure.
 void BM_PushCancel(benchmark::State& state) {
-  const auto kind = kind_of(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(0));
   hbp::util::Rng rng(3);
-  hbp::sim::EventQueue q(kind);
+  hbp::sim::EventQueue q;
   std::vector<hbp::sim::EventId> ids;
   ids.reserve(n);
   for (auto _ : state) {
@@ -96,17 +89,16 @@ void BM_PushCancel(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_PushCancel)
-    ->ArgsProduct({{0, 1}, {4096}})
-    ->ArgNames({"cal", "n"});
+    ->Arg(4096)
+    ->ArgName("n");
 
 // Classic hold model: constant population, each pop schedules one push a
 // random increment ahead.  This is the scheduler's steady-state regime in a
 // long simulation run.
 void BM_Hold(benchmark::State& state) {
-  const auto kind = kind_of(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(0));
   hbp::util::Rng rng(4);
-  hbp::sim::EventQueue q(kind);
+  hbp::sim::EventQueue q;
   for (std::size_t i = 0; i < n; ++i) {
     q.push(hbp::sim::SimTime(static_cast<std::int64_t>(rng.below(1'000'000))),
            [] {});
@@ -122,64 +114,57 @@ void BM_Hold(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
 }
 BENCHMARK(BM_Hold)
-    ->ArgsProduct({{0, 1}, {1024, 16384}})
-    ->ArgNames({"cal", "n"});
+    ->Arg(1024)
+    ->Arg(16384)
+    ->ArgName("n");
 
 // Deterministic workload for the --json perf record: a fixed number of
-// packet-carrying events pushed and drained through each backend, timed
-// with steady_clock.  The counters (events) are pure functions of the
-// workload; the rates are what tools/bench_diff tracks across commits.
+// packet-carrying events pushed and drained through the queue, timed with
+// steady_clock.  The counter (events) is a pure function of the workload;
+// the rate is what tools/bench_diff tracks across commits.
 void write_json_record(const std::string& path) {
   constexpr std::size_t kEvents = 400'000;
   const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<hbp::telemetry::BenchCounter> counters;
-  double total_seconds = 0.0;
-
-  for (const auto kind : {hbp::sim::SchedulerKind::kBinaryHeap,
-                          hbp::sim::SchedulerKind::kCalendar}) {
-    hbp::util::Rng rng(7);
-    std::uint64_t sink = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    hbp::sim::EventQueue q(kind);
-    // Hold model at population 4096 with packet payloads.
-    constexpr std::size_t kPopulation = 4096;
-    for (std::size_t i = 0; i < kPopulation; ++i) {
-      hbp::sim::Packet p;
-      p.uid = i;
-      q.push(hbp::sim::SimTime(static_cast<std::int64_t>(rng.below(1'000'000))),
-             [&sink, p] { sink += p.uid; });
-    }
-    for (std::size_t i = 0; i < kEvents; ++i) {
-      auto ev = q.pop();
-      ev.fn();
-      hbp::sim::Packet p;
-      p.uid = i;
-      q.push(ev.at + hbp::sim::SimTime(
-                         static_cast<std::int64_t>(1 + rng.below(2'000'000))),
-             [&sink, p] { sink += p.uid; });
-    }
-    while (!q.empty()) q.pop().fn();
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    total_seconds += seconds;
-    const char* name = kind == hbp::sim::SchedulerKind::kBinaryHeap
-                           ? "heap"
-                           : "calendar";
-    counters.push_back({std::string("packet_events_") + name,
-                        static_cast<double>(kEvents + kPopulation)});
-    counters.push_back({std::string("packet_events_per_sec_") + name,
-                        static_cast<double>(kEvents + kPopulation) / seconds});
-    benchmark::DoNotOptimize(sink);
+  hbp::util::Rng rng(7);
+  std::uint64_t sink = 0;
+  hbp::sim::EventQueue q;
+  // Hold model at population 4096 with packet payloads.
+  constexpr std::size_t kPopulation = 4096;
+  for (std::size_t i = 0; i < kPopulation; ++i) {
+    hbp::sim::Packet p;
+    p.uid = i;
+    q.push(hbp::sim::SimTime(static_cast<std::int64_t>(rng.below(1'000'000))),
+           [&sink, p] { sink += p.uid; });
   }
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    auto ev = q.pop();
+    ev.fn();
+    hbp::sim::Packet p;
+    p.uid = i;
+    q.push(ev.at + hbp::sim::SimTime(
+                       static_cast<std::int64_t>(1 + rng.below(2'000'000))),
+           [&sink, p] { sink += p.uid; });
+  }
+  while (!q.empty()) q.pop().fn();
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    wall_start)
+          .count();
+  benchmark::DoNotOptimize(sink);
+  // Key names keep the "_heap" suffix so records pair with older ones.
+  const std::vector<hbp::telemetry::BenchCounter> counters = {
+      {"packet_events_heap", static_cast<double>(kEvents + kPopulation)},
+      {"packet_events_per_sec_heap",
+       static_cast<double>(kEvents + kPopulation) / seconds},
+  };
 
   hbp::telemetry::PerfStats perf;
   perf.wall_seconds = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - wall_start)
                           .count();
-  perf.events_executed = 2 * kEvents;
+  perf.events_executed = kEvents;
   perf.peak_rss_bytes = hbp::telemetry::peak_rss_bytes();
-  perf.sim_seconds = total_seconds;
+  perf.sim_seconds = seconds;
   hbp::telemetry::write_bench_record(path, "micro_scheduler", counters,
                                      nullptr, perf);
   std::printf("\nWrote %s\n", path.c_str());

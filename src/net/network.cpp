@@ -41,7 +41,6 @@ void Network::compute_routes() {
   const std::size_t n = nodes_.size();
   const std::size_t m = addr_to_node_.size();
   routes_.assign(n, std::vector<std::int32_t>(m, -1));
-  hops_.assign(n, std::vector<std::int32_t>(m, -1));
 
   // One BFS per destination address, rooted at the destination host.  The
   // next hop from v toward the root is v's BFS parent; the out-port is the
@@ -52,7 +51,6 @@ void Network::compute_routes() {
     const sim::NodeId root = addr_to_node_[ai];
     dist.assign(n, -1);
     dist[static_cast<std::size_t>(root)] = 0;
-    hops_[static_cast<std::size_t>(root)][ai] = 0;
     frontier.clear();
     frontier.push_back(root);
     while (!frontier.empty()) {
@@ -63,7 +61,6 @@ void Network::compute_routes() {
         const sim::NodeId v = nu.neighbors_[port];
         if (dist[static_cast<std::size_t>(v)] != -1) continue;
         dist[static_cast<std::size_t>(v)] = dist[static_cast<std::size_t>(u)] + 1;
-        hops_[static_cast<std::size_t>(v)][ai] = dist[static_cast<std::size_t>(v)];
         // Next hop from v toward root is u; find v's port to u.
         const Node& nv = node(v);
         for (std::size_t vport = 0; vport < nv.neighbors_.size(); ++vport) {
@@ -87,9 +84,15 @@ int Network::route_port(sim::NodeId from, sim::Address dst) const {
 }
 
 int Network::hop_distance(sim::NodeId from, sim::Address dst) const {
-  HBP_ASSERT_MSG(routes_valid_, "compute_routes() must run first");
-  HBP_ASSERT(dst >= 1 && dst <= addr_to_node_.size());
-  return hops_[static_cast<std::size_t>(from)][dst - 1];
+  // Routes are BFS parents, so walking them takes exactly the BFS distance.
+  const sim::NodeId target = node_of(dst);
+  int hops = 0;
+  for (sim::NodeId at = from; at != target; ++hops) {
+    const int port = route_port(at, dst);
+    if (port < 0) return -1;
+    at = node(at).neighbor(static_cast<std::size_t>(port));
+  }
+  return hops;
 }
 
 void Network::transmit(sim::NodeId from, int port, sim::Packet&& p) {

@@ -69,7 +69,8 @@ class Network {
   // Out-port of `from` toward address `dst`, or -1 if unreachable.
   int route_port(sim::NodeId from, sim::Address dst) const;
 
-  // Hop distance between a node and an address (router hops + host links).
+  // Hop distance between a node and an address (router hops + host links),
+  // or -1 if unreachable; walks the routes, so O(distance).
   int hop_distance(sim::NodeId from, sim::Address dst) const;
 
   Link& link(sim::NodeId from, int port) {
@@ -125,8 +126,6 @@ class Network {
   std::vector<sim::NodeId> addr_to_node_;  // index == address - 1
   // routes_[node][address - 1] = out port toward that address (-1 none).
   std::vector<std::vector<std::int32_t>> routes_;
-  // hops_[node][address - 1] = hop distance (-1 unreachable).
-  std::vector<std::vector<std::int32_t>> hops_;
   bool routes_valid_ = false;
   std::uint64_t uid_counter_ = 0;
   Counters counters_;

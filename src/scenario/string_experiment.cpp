@@ -1,40 +1,25 @@
 #include "scenario/string_experiment.hpp"
 
-#include <chrono>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/defense.hpp"
 #include "honeypot/schedule.hpp"
 #include "net/control_plane.hpp"
-#include "net/invariant_checker.hpp"
-#include "net/network.hpp"
 #include "topo/string_topo.hpp"
-#include "trace/export.hpp"
-#include "trace/tracer.hpp"
 #include "traffic/cbr.hpp"
 #include "traffic/follower.hpp"
 #include "traffic/onoff.hpp"
 #include "traffic/spoof.hpp"
-#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace hbp::scenario {
 
 StringResult run_string_experiment(const StringExperimentConfig& config,
                                    std::uint64_t seed) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  sim::Simulator simulator(config.scheduler);
-  if (config.profile) simulator.enable_profiling();
-  net::Network network(simulator);
-  std::unique_ptr<trace::Tracer> tracer;
-  if (!config.trace_path.empty()) {
-    trace::TracerOptions trace_options;
-    trace_options.flight_capacity = config.trace_flight;
-    tracer = std::make_unique<trace::Tracer>(trace_options);
-    tracer->attach(simulator, &network);
-  }
+  RunHarness harness(config);
+  sim::Simulator& simulator = harness.simulator();
+  net::Network& network = harness.network();
 
   topo::StringParams sp;
   sp.hops = config.h;
@@ -129,67 +114,21 @@ StringResult run_string_experiment(const StringExperimentConfig& config,
     simulator.run_until(t < horizon ? t : horizon);
   }
 
-  net::InvariantChecker audit(network);
-  audit.expect_ok();
-
   result.control_messages = control.total_messages();
   result.reports = control.messages_sent("intermediate_report");
-  result.trace_digest = simulator.trace().value();
-  result.events_executed = simulator.events_executed();
-
-  network.export_telemetry(simulator.telemetry());
   control.export_telemetry(simulator.telemetry());
   defense.export_telemetry(simulator.telemetry());
-  if (tracer) tracer->export_counters(simulator.telemetry());
-  if (const telemetry::LoopProfiler* prof = simulator.profiler()) {
-    for (const auto& ts : prof->by_type()) {
-      simulator.telemetry()
-          .counter(std::string("sim.dispatch.") + ts.label)
-          .add(ts.count);
-    }
-    result.perf.peak_queue_depth = prof->peak_queue_depth();
-    result.perf.event_types = prof->by_type();
-  }
-  result.telemetry = simulator.telemetry_ptr();
-  result.perf.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  result.perf.events_executed = simulator.events_executed();
-  result.perf.peak_rss_bytes = telemetry::peak_rss_bytes();
-  result.perf.sim_seconds = simulator.now().to_seconds();
-  if (tracer) {
-    HBP_ASSERT_MSG(trace::write_trace_file(*tracer, config.trace_path),
-                   "could not write the trace file");
-  }
+  harness.finish(result, simulator.now().to_seconds());
   return result;
 }
 
 StringSummary run_string_replicated(const StringExperimentConfig& config,
                                     int runs, std::uint64_t base_seed,
                                     util::ThreadPool* pool) {
-  // Replications land in a per-seed slot and are merged serially in seed
-  // order afterwards, so the summary is bit-identical whether the runs
-  // execute on a thread pool or inline (floating-point accumulation is not
-  // commutative; merge order must not depend on thread scheduling).
-  std::vector<StringResult> results(static_cast<std::size_t>(runs));
-  auto one = [&](std::size_t i) {
-    results[i] =
-        run_string_experiment(config, base_seed + static_cast<std::uint64_t>(i));
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(static_cast<std::size_t>(runs), one);
-  } else {
-    for (int i = 0; i < runs; ++i) one(static_cast<std::size_t>(i));
-  }
-
   StringSummary summary;
   summary.runs = runs;
-  summary.metrics = std::make_shared<telemetry::Registry>();
-  for (const StringResult& r : results) {
-    summary.events_executed += r.events_executed;
-    summary.sim_seconds += r.perf.sim_seconds;
-    if (r.telemetry) summary.metrics->merge(*r.telemetry);
+  for (const StringResult& r : replicate(run_string_experiment, config, runs,
+                                         base_seed, pool, summary)) {
     if (r.captured) {
       ++summary.captured;
       summary.capture_time.add(r.capture_seconds);

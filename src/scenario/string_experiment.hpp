@@ -3,20 +3,16 @@
 // start to switch-port shutoff, to be compared with Eqs. (3)-(11).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
 
-#include "sim/event_queue.hpp"
-#include "telemetry/report.hpp"
+#include "scenario/run_harness.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hbp::scenario {
 
-struct StringExperimentConfig {
+struct StringExperimentConfig : ObserveOptions {
   double m = 10.0;           // epoch length (s)
   double p = 0.3;            // honeypot probability per epoch
   int h = 10;                // chain routers / back-propagation AS hops
@@ -30,32 +26,13 @@ struct StringExperimentConfig {
   std::optional<double> follower_delay;  // optional follower attack
   double control_loss_probability = 0.0;  // lossy control plane
   double horizon_seconds = 2000.0;   // give up after this long
-  bool profile = false;              // event-loop profiling (observational)
-  // Pending-event-set backend; both realise the same (time, seq) total
-  // order, so the trace digest is identical under either.
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap;
-  // Causal tracing (src/trace): export every span event here after the run
-  // (".csv" => CSV, else Chrome/Perfetto JSON).  Observational — digests
-  // are bit-identical with tracing on or off.
-  std::string trace_path;
-  std::size_t trace_flight = 256;  // flight-recorder depth (last N events)
 };
 
-struct StringResult {
+struct StringResult : RunRecord {
   bool captured = false;
   double capture_seconds = -1.0;  // from attack start (t = 0)
   std::uint64_t control_messages = 0;
   std::uint64_t reports = 0;      // progressive intermediate reports
-
-  // Audit trail: the run's trace-digest fingerprint and event count (see
-  // sim/trace_digest.hpp).  Same config + same seed must reproduce both
-  // bit-identically; the golden regression tests pin them.
-  std::uint64_t trace_digest = 0;
-  std::uint64_t events_executed = 0;
-
-  // Instrument tree + host-dependent measurements (see TreeResult).
-  std::shared_ptr<const telemetry::Registry> telemetry;
-  telemetry::PerfStats perf;
 };
 
 StringResult run_string_experiment(const StringExperimentConfig& config,
@@ -63,15 +40,10 @@ StringResult run_string_experiment(const StringExperimentConfig& config,
 
 // Mean capture time over `runs` seeds (only counting captured runs; the
 // returned stats include the capture fraction).
-struct StringSummary {
+struct StringSummary : RunTotals {
   util::RunningStats capture_time;
   int runs = 0;
   int captured = 0;
-
-  // Totals over all runs (bench perf records).
-  std::uint64_t events_executed = 0;
-  double sim_seconds = 0.0;
-  std::shared_ptr<telemetry::Registry> metrics;
 };
 StringSummary run_string_replicated(const StringExperimentConfig& config,
                                     int runs, std::uint64_t base_seed,

@@ -1,16 +1,11 @@
 #include "scenario/tree_experiment.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "honeypot/client.hpp"
-#include "net/invariant_checker.hpp"
-#include "net/network.hpp"
-#include "trace/export.hpp"
-#include "trace/tracer.hpp"
 #include "traffic/follower.hpp"
 #include "traffic/onoff.hpp"
 #include "traffic/probe.hpp"
@@ -44,17 +39,9 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
   HBP_ASSERT(config.n_clients + config.n_attackers <=
              static_cast<int>(config.tree.leaf_count));
 
-  const auto wall_start = std::chrono::steady_clock::now();
-  sim::Simulator simulator(config.scheduler);
-  if (config.profile) simulator.enable_profiling();
-  net::Network network(simulator);
-  std::unique_ptr<trace::Tracer> tracer;
-  if (!config.trace_path.empty()) {
-    trace::TracerOptions trace_options;
-    trace_options.flight_capacity = config.trace_flight;
-    tracer = std::make_unique<trace::Tracer>(trace_options);
-    tracer->attach(simulator, &network);
-  }
+  RunHarness harness(config);
+  sim::Simulator& simulator = harness.simulator();
+  net::Network& network = harness.network();
   util::Rng topo_rng(util::derive_seed(seed, 1));
   util::Rng place_rng(util::derive_seed(seed, 2));
   util::Rng chain_rng(util::derive_seed(seed, 3));
@@ -383,65 +370,18 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
     result.pushback_requests = pushback_system->requests_sent();
     result.pushback_limited_drops = pushback_system->total_limited_drops();
   }
-  result.events_executed = simulator.events_executed();
-  result.trace_digest = simulator.trace().value();
-
-  // End-of-run telemetry snapshots from every subsystem, plus profiler
-  // dispatch counts (deterministic — the wall times stay in result.perf).
-  network.export_telemetry(simulator.telemetry());
   control.export_telemetry(simulator.telemetry());
   if (defense) defense->export_telemetry(simulator.telemetry());
   if (pushback_system) pushback_system->export_telemetry(simulator.telemetry());
-  if (tracer) tracer->export_counters(simulator.telemetry());
-  if (const telemetry::LoopProfiler* prof = simulator.profiler()) {
-    for (const auto& ts : prof->by_type()) {
-      simulator.telemetry()
-          .counter(std::string("sim.dispatch.") + ts.label)
-          .add(ts.count);
-    }
-    result.perf.peak_queue_depth = prof->peak_queue_depth();
-    result.perf.event_types = prof->by_type();
-  }
-  result.telemetry = simulator.telemetry_ptr();
-  result.perf.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  result.perf.events_executed = simulator.events_executed();
-  result.perf.peak_rss_bytes = telemetry::peak_rss_bytes();
-  result.perf.sim_seconds = config.sim_seconds;
-
-  net::InvariantChecker audit(network);
-  audit.expect_ok();
-  if (tracer) {
-    HBP_ASSERT_MSG(trace::write_trace_file(*tracer, config.trace_path),
-                   "could not write the trace file");
-  }
+  harness.finish(result, config.sim_seconds);
   return result;
 }
 
 TreeSummary run_replicated(const TreeExperimentConfig& config, int seeds,
                            std::uint64_t base_seed, util::ThreadPool* pool) {
-  // Per-seed slots merged serially in seed order: the summary must be
-  // bit-identical whether replications run pooled or inline (floating-point
-  // accumulation order would otherwise depend on thread scheduling).
-  std::vector<TreeResult> results(static_cast<std::size_t>(seeds));
-  auto one = [&](std::size_t i) {
-    results[i] =
-        run_tree_experiment(config, base_seed + static_cast<std::uint64_t>(i));
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(static_cast<std::size_t>(seeds), one);
-  } else {
-    for (int i = 0; i < seeds; ++i) one(static_cast<std::size_t>(i));
-  }
-
   TreeSummary summary;
-  summary.metrics = std::make_shared<telemetry::Registry>();
-  for (const TreeResult& r : results) {
-    summary.events_executed += r.events_executed;
-    summary.sim_seconds += r.perf.sim_seconds;
-    if (r.telemetry) summary.metrics->merge(*r.telemetry);
+  for (const TreeResult& r : replicate(run_tree_experiment, config, seeds,
+                                       base_seed, pool, summary)) {
     summary.throughput.add(r.mean_client_throughput);
     if (r.mean_capture_delay >= 0) summary.capture_delay.add(r.mean_capture_delay);
     summary.capture_fraction.add(

@@ -18,7 +18,7 @@
 #include "net/control_plane.hpp"
 #include "pushback/agent.hpp"
 #include "scenario/metrics.hpp"
-#include "telemetry/report.hpp"
+#include "scenario/run_harness.hpp"
 #include "topo/tree.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -31,7 +31,7 @@ enum class AttackerPlacement { kClose, kFar, kEven };
 std::string to_string(Scheme s);
 std::string to_string(AttackerPlacement p);
 
-struct TreeExperimentConfig {
+struct TreeExperimentConfig : ObserveOptions {
   Scheme scheme = Scheme::kHbp;
   topo::TreeParams tree;
 
@@ -73,25 +73,6 @@ struct TreeExperimentConfig {
   // throughput of TCP flows is degraded."
   int tcp_downloads = 0;
 
-  // Event-loop profiling (per-label dispatch counts and wall time, peak
-  // queue depth).  Purely observational: enabling it never changes the
-  // trace digest.
-  bool profile = false;
-
-  // Causal tracing (src/trace): when non-empty, every packet-lifecycle and
-  // HBP/pushback control-plane span event is recorded and exported to this
-  // path after the run (".csv" => long-format CSV, anything else => Chrome
-  // trace-event / Perfetto JSON).  Observational like profiling: the trace
-  // digest is bit-identical with tracing on or off.
-  std::string trace_path;
-  // Flight-recorder depth: the last N trace events kept for the invariant
-  // checker's failure diagnostic.
-  std::size_t trace_flight = 256;
-
-  // Pending-event-set backend; both realise the same (time, seq) total
-  // order, so the trace digest is identical under either.
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap;
-
   // Defense knobs.
   core::HbpParams hbp;
   double hbp_deploy_fraction = 1.0;  // <1 => random partial deployment
@@ -100,7 +81,7 @@ struct TreeExperimentConfig {
   net::ControlPlane::Params control;
 };
 
-struct TreeResult {
+struct TreeResult : RunRecord {
   double mean_client_throughput = 0.0;  // fraction of bottleneck, attack window
   double baseline_throughput = 0.0;     // before the attack
   std::vector<ThroughputMeter::Point> timeline;
@@ -121,35 +102,17 @@ struct TreeResult {
   std::uint64_t hbp_false_activations = 0;
   std::uint64_t pushback_requests = 0;
   std::uint64_t pushback_limited_drops = 0;
-  std::uint64_t events_executed = 0;
-  // Trace-digest fingerprint of the run (see sim/trace_digest.hpp); pinned
-  // by the golden regression tests.
-  std::uint64_t trace_digest = 0;
-
-  // Full instrument tree of the run (scenario.* metrics plus net/pushback/
-  // core snapshots); outlives the simulator.  Feed to render_run_report().
-  std::shared_ptr<const telemetry::Registry> telemetry;
-  // Host-dependent measurements (wall time, RSS, profiler stats when
-  // config.profile was set).  Everything here is excluded from the
-  // deterministic part of exported reports.
-  telemetry::PerfStats perf;
 };
 
 TreeResult run_tree_experiment(const TreeExperimentConfig& config,
                                std::uint64_t seed);
 
 // Multi-seed replication (optionally parallel across a pool).
-struct TreeSummary {
+struct TreeSummary : RunTotals {
   util::RunningStats throughput;
   util::RunningStats capture_delay;
   util::RunningStats capture_fraction;
   util::RunningStats false_captures;
-
-  // Totals over all replications (bench perf records).
-  std::uint64_t events_executed = 0;
-  double sim_seconds = 0.0;
-  // Instrument trees of all replications merged in seed order.
-  std::shared_ptr<telemetry::Registry> metrics;
 };
 TreeSummary run_replicated(const TreeExperimentConfig& config, int seeds,
                            std::uint64_t base_seed,

@@ -1,13 +1,11 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <functional>
 
 #include "util/assert.hpp"
 
 namespace hbp::sim {
-
-EventQueue::EventQueue(SchedulerKind kind) : kind_(kind) {}
 
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kNoFree) {
@@ -37,24 +35,24 @@ EventId EventQueue::push(SimTime at, Event fn, const char* label) {
   slot.label = label;
   slot.occupied = true;
 
-  const Item it{at.nanos(), next_seq_++, idx, slot.gen};
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_insert(it);
-  } else {
-    cal_insert(it);
-  }
+  heap_.push_back(Item{at.nanos(), next_seq_++, idx, slot.gen});
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
   ++live_count_;
   return (static_cast<EventId>(slot.gen) << 32) | idx;
 }
 
 SimTime EventQueue::next_time() const {
   HBP_ASSERT_MSG(!empty(), "next_time() on empty queue");
-  return SimTime(peek_min().at_ns);
+  prune_top();
+  return SimTime(heap_.front().at_ns);
 }
 
 EventQueue::PoppedEvent EventQueue::pop() {
   HBP_ASSERT_MSG(!empty(), "pop() on empty queue");
-  const Item it = take_min();
+  prune_top();
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+  const Item it = heap_.back();
+  heap_.pop_back();
   Slot& s = slots_[it.slot];
   PoppedEvent out{SimTime(it.at_ns), std::move(s.fn), s.label};
   release_slot(it.slot);
@@ -71,200 +69,27 @@ bool EventQueue::cancel(EventId id) {
   release_slot(idx);
   HBP_ASSERT(live_count_ > 0);
   --live_count_;
-  ++stale_count_;       // its ordering record is still in the structure
-  cal_found_valid_ = false;
+  ++stale_count_;  // its ordering record is still in the heap
   maybe_compact();
   return true;
-}
-
-std::size_t EventQueue::backlog_items() const {
-  return kind_ == SchedulerKind::kBinaryHeap ? heap_.size() : cal_items_;
 }
 
 void EventQueue::maybe_compact() {
   // Amortised-O(1) bound on stale records: whenever cancellations have left
   // more dead index records than live ones, sweep them in one pass.
   if (stale_count_ <= 64 || stale_count_ <= live_count_) return;
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_compact();
-  } else {
-    cal_rebuild(cal_buckets_.size());
-  }
+  std::erase_if(heap_, [this](const Item& it) { return !item_live(it); });
+  std::make_heap(heap_.begin(), heap_.end(), std::greater<>());
+  stale_count_ = 0;
 }
 
-EventQueue::Item EventQueue::take_min() {
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_prune_top();
-    HBP_ASSERT(!heap_.empty());
-    std::pop_heap(heap_.begin(), heap_.end(),
-                  [](const Item& a, const Item& b) { return a > b; });
-    const Item it = heap_.back();
-    heap_.pop_back();
-    return it;
-  }
-  const Item* min = cal_find_min();
-  HBP_ASSERT(min != nullptr);
-  const Item it = *min;
-  auto& bucket = cal_buckets_[cal_found_];
-  bucket.erase(bucket.begin());
-  --cal_items_;
-  cal_found_valid_ = false;
-  if (cal_items_ < cal_buckets_.size() / 8 && cal_buckets_.size() > 16) {
-    cal_rebuild(cal_buckets_.size() / 2);
-  }
-  return it;
-}
-
-const EventQueue::Item& EventQueue::peek_min() const {
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_prune_top();
-    HBP_ASSERT(!heap_.empty());
-    return heap_.front();
-  }
-  const Item* min = cal_find_min();
-  HBP_ASSERT(min != nullptr);
-  return *min;
-}
-
-// --- binary-heap backend ----------------------------------------------------
-
-void EventQueue::heap_insert(const Item& it) {
-  heap_.push_back(it);
-  std::push_heap(heap_.begin(), heap_.end(),
-                 [](const Item& a, const Item& b) { return a > b; });
-}
-
-void EventQueue::heap_prune_top() const {
+void EventQueue::prune_top() const {
   while (!heap_.empty() && !item_live(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(),
-                  [](const Item& a, const Item& b) { return a > b; });
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
     heap_.pop_back();
     --stale_count_;
   }
-}
-
-void EventQueue::heap_compact() {
-  std::erase_if(heap_, [this](const Item& it) { return !item_live(it); });
-  std::make_heap(heap_.begin(), heap_.end(),
-                 [](const Item& a, const Item& b) { return a > b; });
-  stale_count_ = 0;
-}
-
-// --- calendar backend -------------------------------------------------------
-
-void EventQueue::cal_position(std::int64_t at_ns) const {
-  const auto day = static_cast<std::uint64_t>(at_ns) >> cal_shift_;
-  cal_cursor_ = static_cast<std::size_t>(day) & (cal_buckets_.size() - 1);
-  cal_bucket_top_ = static_cast<std::int64_t>((day + 1) << cal_shift_);
-}
-
-void EventQueue::cal_insert(const Item& it) {
-  HBP_ASSERT_MSG(it.at_ns >= 0, "calendar queue requires non-negative times");
-  if (cal_buckets_.empty()) {
-    cal_buckets_.resize(16);
-  } else if (cal_items_ >= cal_buckets_.size() * 2) {
-    cal_rebuild(cal_buckets_.size() * 2);
-  }
-
-  const bool was_empty = cal_items_ == 0;
-  auto& bucket = cal_buckets_[cal_bucket_of(it.at_ns)];
-  bucket.insert(std::upper_bound(bucket.begin(), bucket.end(), it), it);
-  ++cal_items_;
-
-  const std::int64_t width = std::int64_t{1} << cal_shift_;
-  if (was_empty || it.at_ns < cal_bucket_top_ - width) {
-    // The new event precedes the scan position; rewind to its day so the
-    // forward scan cannot step over it.
-    cal_position(it.at_ns);
-  }
-  cal_found_valid_ = false;
-}
-
-void EventQueue::cal_rebuild(std::size_t bucket_count) {
-  // Collect the live records, drop the stale ones.
-  std::vector<Item> live;
-  live.reserve(live_count_);
-  for (auto& bucket : cal_buckets_) {
-    for (const Item& it : bucket) {
-      if (item_live(it)) live.push_back(it);
-    }
-    bucket.clear();
-  }
-  std::sort(live.begin(), live.end());
-
-  // Re-tune the bucket width to the mean inter-event gap so one day holds
-  // O(1) events.  Deterministic: depends only on the stored times.
-  if (live.size() >= 2) {
-    const auto span = static_cast<std::uint64_t>(live.back().at_ns -
-                                                 live.front().at_ns);
-    const std::uint64_t gap = span / live.size();
-    if (gap > 0) {
-      const int shift = std::bit_width(gap) - 1;
-      cal_shift_ = static_cast<std::uint32_t>(std::clamp(shift, 4, 40));
-    }
-  }
-
-  if (bucket_count < 16) bucket_count = 16;
-  HBP_ASSERT(std::has_single_bit(bucket_count));
-  cal_buckets_.assign(bucket_count, {});
-  // Ascending append keeps every bucket internally sorted.
-  for (const Item& it : live) {
-    cal_buckets_[cal_bucket_of(it.at_ns)].push_back(it);
-  }
-  cal_items_ = live.size();
-  stale_count_ = 0;
-  cal_found_valid_ = false;
-  if (!live.empty()) cal_position(live.front().at_ns);
-}
-
-const EventQueue::Item* EventQueue::cal_find_min() const {
-  if (cal_found_valid_) return &cal_buckets_[cal_found_].front();
-  if (cal_buckets_.empty()) return nullptr;
-
-  const std::size_t n = cal_buckets_.size();
-  const std::int64_t width = std::int64_t{1} << cal_shift_;
-
-  auto prune_front = [this](std::vector<Item>& bucket) {
-    while (!bucket.empty() && !item_live(bucket.front())) {
-      bucket.erase(bucket.begin());
-      --cal_items_;
-      --stale_count_;
-    }
-  };
-
-  // Walk day buckets from the scan position: the first bucket whose front
-  // falls inside its current day holds the global minimum (equal times can
-  // never split across buckets, so (time, seq) order is exact).
-  for (std::size_t scanned = 0; scanned < n; ++scanned) {
-    auto& bucket = cal_buckets_[cal_cursor_];
-    prune_front(bucket);
-    if (!bucket.empty() && bucket.front().at_ns < cal_bucket_top_) {
-      cal_found_ = cal_cursor_;
-      cal_found_valid_ = true;
-      return &bucket.front();
-    }
-    cal_cursor_ = (cal_cursor_ + 1) & (n - 1);
-    cal_bucket_top_ += width;
-  }
-
-  // A whole year without a hit (sparse far-future population): find the
-  // minimum bucket front directly and jump the scan position to it.
-  const Item* best = nullptr;
-  std::size_t best_bucket = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& bucket = cal_buckets_[i];
-    prune_front(bucket);
-    if (!bucket.empty() && (best == nullptr || bucket.front() < *best)) {
-      best = &bucket.front();
-      best_bucket = i;
-    }
-  }
-  if (best != nullptr) {
-    cal_position(best->at_ns);
-    cal_found_ = best_bucket;
-    cal_found_valid_ = true;
-  }
-  return best;
+  HBP_ASSERT(!heap_.empty());
 }
 
 }  // namespace hbp::sim

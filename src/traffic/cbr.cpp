@@ -18,6 +18,10 @@ CbrSource::CbrSource(sim::Simulator& simulator, net::Host& host, util::Rng& rng,
   interval_ = sim::transmission_time(params.packet_size, params.rate_bps);
 }
 
+CbrSource::~CbrSource() {
+  if (next_tick_) simulator_.cancel(*next_tick_);
+}
+
 void CbrSource::start() {
   // Phase-desynchronise sources: a random fraction of one interval avoids
   // the lock-step bursts a shared start time would create.
@@ -25,7 +29,8 @@ void CbrSource::start() {
       sim::SimTime::seconds(rng_.uniform() * interval_.to_seconds());
   const sim::SimTime first =
       params_.start > simulator_.now() ? params_.start : simulator_.now();
-  simulator_.at(first + phase, [this] { tick(); }, "traffic.cbr.tick");
+  next_tick_ =
+      simulator_.at(first + phase, [this] { tick(); }, "traffic.cbr.tick");
 }
 
 void CbrSource::tick() {
@@ -47,7 +52,8 @@ void CbrSource::tick() {
     }
   }
 
-  simulator_.after(interval_, [this] { tick(); }, "traffic.cbr.tick");
+  next_tick_ =
+      simulator_.after(interval_, [this] { tick(); }, "traffic.cbr.tick");
 }
 
 }  // namespace hbp::traffic

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 
 #include "net/host.hpp"
 #include "sim/simulator.hpp"
@@ -34,6 +35,11 @@ class CbrSource {
   CbrSource(sim::Simulator& simulator, net::Host& host, util::Rng& rng,
             const CbrParams& params, DstFn dst_fn,
             SpoofFn spoof = no_spoof());
+  // Cancels the pending tick: its closure points at this source.
+  ~CbrSource();
+
+  CbrSource(const CbrSource&) = delete;
+  CbrSource& operator=(const CbrSource&) = delete;
 
   // Schedules the first packet; call once after construction.
   void start();
@@ -62,6 +68,7 @@ class CbrSource {
   std::uint64_t sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::uint32_t flow_id_;
+  std::optional<sim::EventId> next_tick_;
 };
 
 }  // namespace hbp::traffic

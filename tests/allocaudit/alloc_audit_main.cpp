@@ -100,10 +100,9 @@ void count_delivery(const hbp::sim::Packet&) { ++g_delivered; }
 // second measurement window after a 3-second warm-up, plus the packet-hop
 // count of the window via out-params.  Unused in the debug and ASan builds,
 // where main() skips.
-[[maybe_unused]] std::uint64_t audit_backend(hbp::sim::SchedulerKind kind,
-                            std::uint64_t* hops_out) {
+[[maybe_unused]] std::uint64_t audit_packet_path(std::uint64_t* hops_out) {
   using namespace hbp;
-  sim::Simulator simulator(kind);
+  sim::Simulator simulator;
   net::Network network(simulator);
   topo::StringParams params;
   params.hops = 6;
@@ -124,8 +123,8 @@ void count_delivery(const hbp::sim::Packet&) { ++g_delivered; }
                             rng, cbr, [dst] { return dst; });
   source.start();
 
-  // Warm-up: ring buffers, the event slab, and the scheduler structure all
-  // reach their steady-state capacity here.
+  // Warm-up: ring buffers, the event slab, and the event heap all reach
+  // their steady-state capacity here.
   simulator.run_until(sim::SimTime::seconds(3));
 
   const std::uint64_t delivered_before = g_delivered;
@@ -152,28 +151,23 @@ int main() {
   std::fprintf(stderr, "SKIP: allocation audit is meaningless under ASan\n");
   return 77;
 #else
+  std::uint64_t hops = 0;
+  const std::uint64_t allocs = audit_packet_path(&hops);
+  std::printf("%llu packet hops, %llu heap allocations in window\n",
+              static_cast<unsigned long long>(hops),
+              static_cast<unsigned long long>(allocs));
   bool ok = true;
-  for (const auto kind : {hbp::sim::SchedulerKind::kBinaryHeap,
-                          hbp::sim::SchedulerKind::kCalendar}) {
-    std::uint64_t hops = 0;
-    const std::uint64_t allocs = audit_backend(kind, &hops);
-    const char* name =
-        kind == hbp::sim::SchedulerKind::kBinaryHeap ? "binary-heap" : "calendar";
-    std::printf("%s: %llu packet hops, %llu heap allocations in window\n",
-                name, static_cast<unsigned long long>(hops),
-                static_cast<unsigned long long>(allocs));
-    if (hops < 10000) {
-      std::fprintf(stderr, "FAIL(%s): window too small (%llu hops)\n", name,
-                   static_cast<unsigned long long>(hops));
-      ok = false;
-    }
-    if (allocs != 0) {
-      std::fprintf(stderr,
-                   "FAIL(%s): steady-state packet path allocated %llu times "
-                   "(expected 0)\n",
-                   name, static_cast<unsigned long long>(allocs));
-      ok = false;
-    }
+  if (hops < 10000) {
+    std::fprintf(stderr, "FAIL: window too small (%llu hops)\n",
+                 static_cast<unsigned long long>(hops));
+    ok = false;
+  }
+  if (allocs != 0) {
+    std::fprintf(stderr,
+                 "FAIL: steady-state packet path allocated %llu times "
+                 "(expected 0)\n",
+                 static_cast<unsigned long long>(allocs));
+    ok = false;
   }
   return ok ? 0 : 1;
 #endif

@@ -15,6 +15,12 @@ namespace {
 
 struct SpieFixture : public ::testing::Test {
   void build(int hops, const SpieParams& params) {
+    // A rebuild replaces the network: drop everything that taps its routers
+    // first, then the network itself, which references the old simulator.
+    tracer.reset();
+    agent_map.clear();
+    agents.clear();
+    network.reset();
     simulator = std::make_unique<sim::Simulator>();
     network = std::make_unique<net::Network>(*simulator);
     topo::StringParams sp;
@@ -23,8 +29,6 @@ struct SpieFixture : public ::testing::Test {
     topo = topo::build_string(*network, sp);
     network->compute_routes();
 
-    agents.clear();
-    agent_map.clear();
     auto install = [&](sim::NodeId r) {
       agents.push_back(std::make_unique<SpieAgent>(
           static_cast<net::Router&>(network->node(r)), params));

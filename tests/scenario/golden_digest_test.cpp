@@ -154,48 +154,5 @@ TEST(GoldenDigest, TreeHbpSmall) {
                });
 }
 
-// The calendar-queue backend must realise the same (time, insertion-seq)
-// total order as the binary heap, so the SAME golden files pin runs under
-// either scheduler.  These re-run two of the pinned configurations with
-// SchedulerKind::kCalendar; any divergence in digest or metrics means the
-// backends disagree on event ordering.
-TEST(GoldenDigest, StringBasicContinuousCalendar) {
-  StringExperimentConfig config;
-  config.m = 5.0;
-  config.p = 0.5;
-  config.h = 4;
-  config.attacker_rate_bps = 0.1e6;
-  config.tau = 0.5;
-  config.progressive = false;
-  config.horizon_seconds = 300.0;
-  config.scheduler = sim::SchedulerKind::kCalendar;
-  check_golden("string_basic_continuous.txt",
-               string_entries(run_string_experiment(config, 42)));
-}
-
-TEST(GoldenDigest, TreeHbpSmallCalendar) {
-  TreeExperimentConfig config;
-  config.scheme = Scheme::kHbp;
-  config.tree.leaf_count = 60;
-  config.n_clients = 12;
-  config.n_attackers = 6;
-  config.attacker_rate_bps = 0.5e6;
-  config.sim_seconds = 30.0;
-  config.attack_start = 5.0;
-  config.attack_end = 25.0;
-  config.epoch_seconds = 5.0;
-  config.scheduler = sim::SchedulerKind::kCalendar;
-  const TreeResult r = run_tree_experiment(config, 7);
-  check_golden("tree_hbp_small.txt",
-               {
-                   {"trace_digest", hex64(r.trace_digest)},
-                   {"events_executed", dec64(r.events_executed)},
-                   {"captured", dec64(r.captured)},
-                   {"false_captures", dec64(r.false_captures)},
-                   {"mean_client_throughput", real(r.mean_client_throughput)},
-                   {"control_messages", dec64(r.control_messages)},
-               });
-}
-
 }  // namespace
 }  // namespace hbp::scenario

@@ -98,14 +98,12 @@ TEST(EventQueue, CancelledEventsSkippedAmongLive) {
 }
 
 // Reference-model property test: random interleavings of push/pop/cancel
-// behave exactly like a sorted multimap model, under both backends.
-class EventQueueModelSweep
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, SchedulerKind>> {
-};
+// behave exactly like a sorted multimap model.
+class EventQueueModelSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EventQueueModelSweep, MatchesReferenceModel) {
-  util::Rng rng(std::get<0>(GetParam()));
-  EventQueue q(std::get<1>(GetParam()));
+  util::Rng rng(GetParam());
+  EventQueue q;
   // Model: (time, seq) -> id, mirroring the queue's ordering contract.
   std::vector<std::tuple<std::int64_t, std::uint64_t, EventId>> model;
   std::uint64_t seq = 0;
@@ -143,83 +141,96 @@ TEST_P(EventQueueModelSweep, MatchesReferenceModel) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, EventQueueModelSweep,
-    ::testing::Combine(::testing::Values(1, 2, 3, 4),
-                       ::testing::Values(SchedulerKind::kBinaryHeap,
-                                         SchedulerKind::kCalendar)));
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueModelSweep,
+                         ::testing::Values(1, 2, 3, 4));
 
-// Twin-scheduler stress: drive a binary-heap queue and a calendar queue
+// Twin-scheduler stress: drive the heap and a sorted reference scheduler
 // with the identical randomized op sequence (pushes over a wide, clustered
-// time range to force calendar rebuilds; random cancels; interleaved pops)
-// and require the exact same pop sequence — time AND payload — from both.
-// The popped stream is also folded into a TraceDigest per queue, mirroring
-// what the simulator pins in the golden tests.
+// time range; random cancels of possibly stale ids; interleaved pops) and
+// require the exact same pop sequence — time AND payload — from both.  The
+// reference keeps its pending events sorted by (time, insertion seq), the
+// ordering contract itself.  Both popped streams are also folded into a
+// TraceDigest, mirroring what the simulator pins in the golden tests.
 class TwinSchedulerStress : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TwinSchedulerStress, IdenticalPopOrderAndDigest) {
+  struct Pending {
+    std::int64_t at_ns;
+    std::uint64_t seq;
+    int payload;
+    bool operator<(const Pending& o) const {
+      return at_ns != o.at_ns ? at_ns < o.at_ns : seq < o.seq;
+    }
+  };
   util::Rng rng(GetParam());
-  EventQueue heap(SchedulerKind::kBinaryHeap);
-  EventQueue cal(SchedulerKind::kCalendar);
-  ASSERT_EQ(heap.kind(), SchedulerKind::kBinaryHeap);
-  ASSERT_EQ(cal.kind(), SchedulerKind::kCalendar);
+  EventQueue heap;
+  std::vector<Pending> reference;  // sorted by (time, seq)
 
   std::vector<int> heap_payloads;
-  std::vector<int> cal_payloads;
-  std::vector<std::pair<EventId, EventId>> live;  // parallel (heap, cal) ids
+  std::vector<int> reference_payloads;
+  // Every push's heap id and reference entry, live or not.
+  std::vector<std::pair<EventId, Pending>> pushed;
   TraceDigest heap_digest;
-  TraceDigest cal_digest;
+  TraceDigest reference_digest;
   std::int64_t clock = 0;  // pops only move forward from here
   int next_payload = 0;
+  std::uint64_t next_seq = 0;
 
   const auto pop_both = [&] {
-    ASSERT_EQ(heap.empty(), cal.empty());
+    ASSERT_EQ(heap.empty(), reference.empty());
     if (heap.empty()) return;
-    ASSERT_EQ(heap.next_time(), cal.next_time());
+    const Pending expected = reference.front();
+    reference.erase(reference.begin());
+    ASSERT_EQ(heap.next_time().nanos(), expected.at_ns);
     auto a = heap.pop();
-    auto b = cal.pop();
-    ASSERT_EQ(a.at, b.at);
+    ASSERT_EQ(a.at.nanos(), expected.at_ns);
     a.fn();
-    b.fn();
-    ASSERT_EQ(heap_payloads, cal_payloads);
+    reference_payloads.push_back(expected.payload);
+    ASSERT_EQ(heap_payloads, reference_payloads);
     heap_digest.fold(a.at, TraceKind::kEvent, -1, heap_payloads.size());
-    cal_digest.fold(b.at, TraceKind::kEvent, -1, cal_payloads.size());
+    reference_digest.fold(SimTime(expected.at_ns), TraceKind::kEvent, -1,
+                          reference_payloads.size());
     clock = a.at.nanos();
   };
 
   for (int step = 0; step < 20000; ++step) {
     const auto op = rng.below(100);
     if (op < 55) {  // push, never in the past
-      // Mix of near-future clusters and far-flung outliers so the calendar
-      // backend grows, shrinks, rewinds, and re-tunes its bucket width.
+      // Mix of near-future clusters and far-flung outliers.
       std::int64_t t = clock;
       const auto shape = rng.below(10);
       if (shape < 6) {
-        t += static_cast<std::int64_t>(rng.below(1'000'000));  // same day-ish
+        t += static_cast<std::int64_t>(rng.below(1'000'000));  // near
       } else if (shape < 9) {
         t += static_cast<std::int64_t>(rng.below(1'000'000'000));  // far
       } else {
         t += static_cast<std::int64_t>(rng.below(1'000'000'000'000));  // huge
       }
-      const int payload = next_payload++;
-      const EventId ha = heap.push(
-          SimTime(t), [&heap_payloads, payload] { heap_payloads.push_back(payload); });
-      const EventId ca = cal.push(
-          SimTime(t), [&cal_payloads, payload] { cal_payloads.push_back(payload); });
-      live.emplace_back(ha, ca);
+      const Pending entry{t, next_seq++, next_payload++};
+      const EventId id = heap.push(
+          SimTime(t), [&heap_payloads, payload = entry.payload] {
+            heap_payloads.push_back(payload);
+          });
+      reference.insert(
+          std::upper_bound(reference.begin(), reference.end(), entry), entry);
+      pushed.emplace_back(id, entry);
     } else if (op < 80) {  // pop
       pop_both();
-    } else {  // cancel a random (possibly stale) id pair
-      if (live.empty()) continue;
-      const auto idx = rng.below(live.size());
-      const auto [ha, ca] = live[idx];
-      ASSERT_EQ(heap.cancel(ha), cal.cancel(ca));
+    } else {  // cancel a random (possibly stale) id
+      if (pushed.empty()) continue;
+      const auto& [id, entry] = pushed[rng.below(pushed.size())];
+      const auto it = std::find_if(
+          reference.begin(), reference.end(),
+          [&](const Pending& p) { return p.seq == entry.seq; });
+      ASSERT_EQ(heap.cancel(id), it != reference.end());
+      if (it != reference.end()) reference.erase(it);
     }
-    ASSERT_EQ(heap.size(), cal.size());
+    ASSERT_EQ(heap.size(), reference.size());
   }
   while (!heap.empty()) pop_both();
-  EXPECT_EQ(heap_payloads, cal_payloads);
-  EXPECT_EQ(heap_digest.value(), cal_digest.value());
+  EXPECT_TRUE(reference.empty());
+  EXPECT_EQ(heap_payloads, reference_payloads);
+  EXPECT_EQ(heap_digest.value(), reference_digest.value());
   EXPECT_GT(heap_payloads.size(), 1000u);
 }
 
@@ -229,11 +240,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TwinSchedulerStress,
 // Lazy cancellation must not let bookkeeping grow without bound: stale
 // ordering records are compacted once they outnumber the live ones, and
 // slots recycle through the free list instead of accumulating.
-class BoundedCancelState : public ::testing::TestWithParam<SchedulerKind> {};
-
-TEST_P(BoundedCancelState, CancelChurnStaysBounded) {
+TEST(BoundedCancelState, CancelChurnStaysBounded) {
   util::Rng rng(5);
-  EventQueue q(GetParam());
+  EventQueue q;
   constexpr std::size_t kBatch = 200;
   std::vector<EventId> ids;
   for (int round = 0; round < 300; ++round) {
@@ -258,10 +267,6 @@ TEST_P(BoundedCancelState, CancelChurnStaysBounded) {
     ASSERT_LE(q.backlog_items(), std::max<std::size_t>(64, q.size()));
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Kinds, BoundedCancelState,
-                         ::testing::Values(SchedulerKind::kBinaryHeap,
-                                           SchedulerKind::kCalendar));
 
 TEST(EventQueue, StressRandomOrdering) {
   util::Rng rng(77);
