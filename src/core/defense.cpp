@@ -83,11 +83,9 @@ void HbpDefense::on_honeypot_hit(int server, const sim::Packet& p) {
     w.activated = true;
     ++activations_;
     if (w.attack_hits == 0) ++false_activations_;
-    if (simulator_.tracing()) {
-      simulator_.trace_event({simulator_.now(), sim::TraceVerb::kActivate,
-                              pool_.node(server), p.uid, p.uid, server,
-                              static_cast<std::int32_t>(w.epoch)});
-    }
+    simulator_.emit({simulator_.now(), sim::TraceVerb::kActivate,
+                     pool_.node(server), p.uid, p.uid, server,
+                     static_cast<std::int32_t>(w.epoch)});
     activate(server);
   }
 }
@@ -112,11 +110,9 @@ void HbpDefense::activate(int server) {
   m.trace_cause = w.last_hit_uid;
 
   requested_[static_cast<std::size_t>(server)][w.epoch].insert(home);
-  if (simulator_.tracing()) {
-    simulator_.trace_event({simulator_.now(), sim::TraceVerb::kRequestSend,
-                            pool_.node(server), w.last_hit_uid, w.last_hit_uid,
-                            home, home});
-  }
+  simulator_.emit({simulator_.now(), sim::TraceVerb::kRequestSend,
+                   pool_.node(server), w.last_hit_uid, w.last_hit_uid, home,
+                   home});
   control_.send("honeypot_request", 1, [this, m] { deliver_request(m); });
 }
 
@@ -139,10 +135,8 @@ void HbpDefense::on_window_end(int server, std::size_t epoch) {
       c.to_as = as;
       c.from_server = true;
       keys_.sign(c, keys_.server_key(as));
-      if (simulator_.tracing()) {
-        simulator_.trace_event({simulator_.now(), sim::TraceVerb::kCancelSend,
-                                pool_.node(server), 0, 0, home_as(server), as});
-      }
+      simulator_.emit({simulator_.now(), sim::TraceVerb::kCancelSend,
+                       pool_.node(server), 0, 0, home_as(server), as});
       control_.send("honeypot_cancel", hops, [this, c] { deliver_cancel(c); });
     }
     by_epoch.erase(it);
@@ -196,12 +190,9 @@ void HbpDefense::schedule_direct_requests(int server) {
       keys_.sign(m, keys_.server_key(target));
       requested_[static_cast<std::size_t>(server)][next_epoch].insert(target);
       const int hops = 1 + std::max(0, as_map_.as_hop_distance(home, target));
-      if (simulator_.tracing()) {
-        simulator_.trace_event({simulator_.now(),
-                                sim::TraceVerb::kDirectRequest,
-                                pool_.node(server), 0, 0, target,
-                                static_cast<std::int32_t>(next_epoch)});
-      }
+      simulator_.emit({simulator_.now(), sim::TraceVerb::kDirectRequest,
+                       pool_.node(server), 0, 0, target,
+                       static_cast<std::int32_t>(next_epoch)});
       control_.send("honeypot_request", hops, [this, m] { deliver_request(m); });
     }, "core.defense.direct_request");
   }
@@ -220,11 +211,8 @@ void HbpDefense::propagate_request(net::AsId from, net::AsId to,
     m.to_as = to;
     keys_.sign(m, keys_.pair_key(from, to));
     m.trace_cause = trace_cause;
-    if (simulator_.tracing()) {
-      simulator_.trace_event({simulator_.now(), sim::TraceVerb::kRequestSend,
-                              sim::kInvalidNode, trace_cause, trace_cause,
-                              from, to});
-    }
+    simulator_.emit({simulator_.now(), sim::TraceVerb::kRequestSend,
+                     sim::kInvalidNode, trace_cause, trace_cause, from, to});
     control_.send("honeypot_request", 1 + extra_hops,
                   [this, m] { deliver_request(m); });
     return;
@@ -249,10 +237,8 @@ void HbpDefense::propagate_cancel(net::AsId from, net::AsId to,
     m.from_as = from;
     m.to_as = to;
     keys_.sign(m, keys_.pair_key(from, to));
-    if (simulator_.tracing()) {
-      simulator_.trace_event({simulator_.now(), sim::TraceVerb::kCancelSend,
-                              sim::kInvalidNode, 0, 0, from, to});
-    }
+    simulator_.emit({simulator_.now(), sim::TraceVerb::kCancelSend,
+                     sim::kInvalidNode, 0, 0, from, to});
     control_.send("honeypot_cancel", 1 + extra_hops,
                   [this, m] { deliver_cancel(m); });
     return;
@@ -276,11 +262,9 @@ void HbpDefense::report_to_server(net::AsId from, sim::Address dst,
   if (server < 0) return;
   const int hops =
       1 + std::max(0, as_map_.as_hop_distance(from, home_as(server)));
-  if (simulator_.tracing()) {
-    simulator_.trace_event({simulator_.now(), sim::TraceVerb::kReportSend,
-                            sim::kInvalidNode, 0, 0, from,
-                            static_cast<std::int32_t>(epoch)});
-  }
+  simulator_.emit({simulator_.now(), sim::TraceVerb::kReportSend,
+                   sim::kInvalidNode, 0, 0, from,
+                   static_cast<std::int32_t>(epoch)});
   control_.send("intermediate_report", hops, [this, m] { deliver_report(m); });
 }
 
@@ -342,10 +326,8 @@ void HbpDefense::export_telemetry(telemetry::Registry& registry) const {
 void HbpDefense::on_capture(sim::NodeId host, sim::Address dst) {
   if (captured_hosts_.contains(host)) return;
   captured_hosts_.insert(host);
-  if (simulator_.tracing()) {
-    simulator_.trace_event({simulator_.now(), sim::TraceVerb::kCapture, host,
-                            0, 0, static_cast<std::int32_t>(dst), -1});
-  }
+  simulator_.emit({simulator_.now(), sim::TraceVerb::kCapture, host, 0, 0,
+                   static_cast<std::int32_t>(dst), -1});
   const CaptureEvent event{host, dst, simulator_.now()};
   captures_.push_back(event);
   for (const auto& fn : capture_listeners_) fn(event);

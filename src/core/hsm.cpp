@@ -161,11 +161,8 @@ net::FilterAction Hsm::DivertFilter::on_packet(const sim::Packet& p,
   // ("only the honeypot traffic, which will be discarded anyway").
   const sim::NodeId reporter = router_.id();
   sim::Simulator& simulator = hsm_.defense().simulator();
-  if (simulator.tracing()) {
-    simulator.trace_event({simulator.now(), sim::TraceVerb::kDivert,
-                           reporter, p.uid, 0, in_port,
-                           std::max(stamped.mark, stamped.tunnel_id)});
-  }
+  simulator.emit({simulator.now(), sim::TraceVerb::kDivert, reporter, p.uid, 0,
+                  in_port, std::max(stamped.mark, stamped.tunnel_id)});
   hsm_.defense().control().send(
       "divert_report", 1, [hsm = &hsm_, reporter, in_port, stamped] {
         hsm->on_diverted(reporter, in_port, stamped);
@@ -230,11 +227,9 @@ void Hsm::remove_divert(sim::Address dst) {
 void Hsm::receive_request(const HoneypotRequest& m) {
   ++requests_received_;
   sim::Simulator& simulator = defense_.simulator();
-  if (simulator.tracing()) {
-    simulator.trace_event({simulator.now(), sim::TraceVerb::kSessionOpen,
-                           sim::kInvalidNode, m.trace_cause, m.trace_cause,
-                           info_.id, static_cast<std::int32_t>(m.epoch)});
-  }
+  simulator.emit({simulator.now(), sim::TraceVerb::kSessionOpen,
+                  sim::kInvalidNode, m.trace_cause, m.trace_cause, info_.id,
+                  static_cast<std::int32_t>(m.epoch)});
   auto [it, created] = sessions_.try_emplace(m.dst);
   HsmSession& session = it->second;
   session.epoch = m.epoch;
@@ -247,11 +242,9 @@ void Hsm::receive_request(const HoneypotRequest& m) {
 void Hsm::receive_cancel(const HoneypotCancel& m) {
   ++cancels_received_;
   sim::Simulator& simulator = defense_.simulator();
-  if (simulator.tracing()) {
-    simulator.trace_event({simulator.now(), sim::TraceVerb::kSessionClose,
-                           sim::kInvalidNode, 0, 0, info_.id,
-                           static_cast<std::int32_t>(m.epoch)});
-  }
+  simulator.emit({simulator.now(), sim::TraceVerb::kSessionClose,
+                  sim::kInvalidNode, 0, 0, info_.id,
+                  static_cast<std::int32_t>(m.epoch)});
   const auto it = sessions_.find(m.dst);
   if (it == sessions_.end()) return;
   HsmSession session = std::move(it->second);
@@ -328,11 +321,8 @@ void Hsm::start_intra_as(sim::Address dst, HsmSession& session,
   if (!session.local_sessions.contains(router)) {
     session.local_sessions.insert(router);
     sim::Simulator& simulator = defense_.simulator();
-    if (simulator.tracing()) {
-      simulator.trace_event({simulator.now(), sim::TraceVerb::kIntraTrace,
-                             router, cause_uid, cause_uid, in_port,
-                             info_.id});
-    }
+    simulator.emit({simulator.now(), sim::TraceVerb::kIntraTrace, router,
+                    cause_uid, cause_uid, in_port, info_.id});
     agent(router).open_session(dst, session.window);
   }
   agent(router).observe(dst, in_port);
@@ -344,11 +334,8 @@ void Hsm::propagate_upstream(sim::Address dst, HsmSession& session,
   session.propagated_upstream.insert(neighbor);
   session.any_upstream_request = true;
   sim::Simulator& simulator = defense_.simulator();
-  if (simulator.tracing()) {
-    simulator.trace_event({simulator.now(), sim::TraceVerb::kUpstream,
-                           sim::kInvalidNode, cause_uid, cause_uid, info_.id,
-                           neighbor});
-  }
+  simulator.emit({simulator.now(), sim::TraceVerb::kUpstream, sim::kInvalidNode,
+                  cause_uid, cause_uid, info_.id, neighbor});
   defense_.propagate_request(info_.id, neighbor, dst, session.epoch,
                              session.window, 0, cause_uid);
 }
@@ -359,10 +346,8 @@ void Hsm::on_ingress_reached(sim::Address dst, sim::NodeId router, int port) {
   const auto cl = cross_by_port_.find({router, port});
   if (cl == cross_by_port_.end() || !cl->second->upstream) return;
   sim::Simulator& simulator = defense_.simulator();
-  if (simulator.tracing()) {
-    simulator.trace_event({simulator.now(), sim::TraceVerb::kIngressReached,
-                           router, 0, 0, port, cl->second->neighbor_as});
-  }
+  simulator.emit({simulator.now(), sim::TraceVerb::kIngressReached, router,
+                  0, 0, port, cl->second->neighbor_as});
   propagate_upstream(dst, it->second, cl->second->neighbor_as);
 }
 
@@ -381,10 +366,8 @@ void Hsm::send_local_request(sim::NodeId from_router, sim::NodeId to_router,
   it->second.local_sessions.insert(to_router);
   const SessionWindow window = it->second.window;
   sim::Simulator& simulator = defense_.simulator();
-  if (simulator.tracing()) {
-    simulator.trace_event({simulator.now(), sim::TraceVerb::kLocalRequest,
-                           from_router, 0, 0, to_router, info_.id});
-  }
+  simulator.emit({simulator.now(), sim::TraceVerb::kLocalRequest,
+                  from_router, 0, 0, to_router, info_.id});
   defense_.control().send("local_request", 1, [this, to_router, dst, window] {
     agent(to_router).open_session(dst, window);
   });

@@ -10,11 +10,8 @@ void Host::receive(sim::Packet&& p, int in_port) {
   ++received_;
   bytes_received_ += p.size_bytes;
   sim::Simulator& simulator = network().simulator();
-  if (simulator.tracing()) {
-    simulator.trace_event({simulator.now(), sim::TraceVerb::kReceive, id(),
-                           p.uid, 0, in_port,
-                           static_cast<std::int32_t>(p.type)});
-  }
+  simulator.emit({simulator.now(), sim::TraceVerb::kReceive, id(), p.uid, 0,
+                  in_port, static_cast<std::int32_t>(p.type)});
   if (receiver_) receiver_(p);
 }
 
@@ -24,11 +21,9 @@ void Host::send(sim::Packet&& p) {
   p.origin_node = id();
   sim::Simulator& simulator = network().simulator();
   p.sent_at = simulator.now();
-  if (simulator.tracing()) {
-    simulator.trace_event({p.sent_at, sim::TraceVerb::kSend, id(), p.uid, 0,
-                           static_cast<std::int32_t>(p.dst),
-                           static_cast<std::int32_t>(p.type)});
-  }
+  simulator.emit({p.sent_at, sim::TraceVerb::kSend, id(), p.uid, 0,
+                  static_cast<std::int32_t>(p.dst),
+                  static_cast<std::int32_t>(p.type)});
   network().transmit(id(), 0, std::move(p));
 }
 

@@ -25,19 +25,13 @@ Link::Link(sim::Simulator& simulator, Network& network, sim::NodeId from_node,
 void Link::send(sim::Packet&& p) {
   const std::uint64_t uid = p.uid;
   if (!queue_->enqueue(std::move(p))) {
-    // Dropped; counted by the queue, fingerprinted here.
-    simulator_.trace().fold(simulator_.now(), sim::TraceKind::kQueueDrop,
-                            to_node_, uid);
-    if (simulator_.tracing()) {
-      simulator_.trace_event({simulator_.now(), sim::TraceVerb::kQueueDrop,
-                              from_node_, uid, 0, to_node_, to_port_});
-    }
+    // Dropped; counted by the queue.
+    simulator_.emit({simulator_.now(), sim::TraceVerb::kQueueDrop, from_node_,
+                     uid, 0, to_node_, to_port_});
     return;
   }
-  if (simulator_.tracing()) {
-    simulator_.trace_event({simulator_.now(), sim::TraceVerb::kEnqueue,
-                            from_node_, uid, 0, to_node_, to_port_});
-  }
+  simulator_.emit({simulator_.now(), sim::TraceVerb::kEnqueue, from_node_,
+                   uid, 0, to_node_, to_port_});
   if (!transmitting_) start_transmission();
 }
 
@@ -48,10 +42,8 @@ void Link::start_transmission() {
     return;
   }
   transmitting_ = true;
-  if (simulator_.tracing()) {
-    simulator_.trace_event({simulator_.now(), sim::TraceVerb::kDequeue,
-                            from_node_, next->uid, 0, to_node_, to_port_});
-  }
+  simulator_.emit({simulator_.now(), sim::TraceVerb::kDequeue, from_node_,
+                   next->uid, 0, to_node_, to_port_});
   const sim::SimTime tx = sim::transmission_time(next->size_bytes, capacity_bps_);
   // Delivery after serialization + propagation; the transmitter frees up
   // after serialization only.

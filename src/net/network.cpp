@@ -99,39 +99,29 @@ void Network::transmit(sim::NodeId from, int port, sim::Packet&& p) {
   HBP_ASSERT(port >= 0 &&
              static_cast<std::size_t>(port) < links_[static_cast<std::size_t>(from)].size());
   ++counters_.transmitted;
-  simulator_.trace().fold(simulator_.now(), sim::TraceKind::kTransmit, from,
-                          p.uid);
+  // Link::send emits kEnqueue or kQueueDrop at this instant for `from`; that
+  // emit folds the digest's transmit record.
   links_[static_cast<std::size_t>(from)][static_cast<std::size_t>(port)]->send(
       std::move(p));
 }
 
 void Network::deliver(sim::NodeId to, sim::Packet&& p, int in_port) {
   ++counters_.delivered;
-  simulator_.trace().fold(simulator_.now(), sim::TraceKind::kDeliver, to, p.uid);
-  if (simulator_.tracing()) {
-    simulator_.trace_event({simulator_.now(), sim::TraceVerb::kDeliver, to,
-                            p.uid, 0, in_port, -1});
-  }
+  simulator_.emit({simulator_.now(), sim::TraceVerb::kDeliver, to, p.uid, 0,
+                   in_port, -1});
   node(to).receive(std::move(p), in_port);
 }
 
 void Network::drop_ttl(const sim::Packet& p, sim::NodeId at) {
   ++counters_.dropped_ttl;
-  simulator_.trace().fold(simulator_.now(), sim::TraceKind::kTtlDrop, at, p.uid);
-  if (simulator_.tracing()) {
-    simulator_.trace_event(
-        {simulator_.now(), sim::TraceVerb::kTtlDrop, at, p.uid, 0, -1, -1});
-  }
+  simulator_.emit(
+      {simulator_.now(), sim::TraceVerb::kTtlDrop, at, p.uid, 0, -1, -1});
 }
 
 void Network::drop_filter(const sim::Packet& p, sim::NodeId at) {
   ++counters_.dropped_filter;
-  simulator_.trace().fold(simulator_.now(), sim::TraceKind::kFilterDrop, at,
-                          p.uid);
-  if (simulator_.tracing()) {
-    simulator_.trace_event(
-        {simulator_.now(), sim::TraceVerb::kFilterDrop, at, p.uid, 0, -1, -1});
-  }
+  simulator_.emit(
+      {simulator_.now(), sim::TraceVerb::kFilterDrop, at, p.uid, 0, -1, -1});
 }
 
 std::uint64_t Network::total_queue_drops() const {

@@ -106,10 +106,9 @@ class Network {
     std::uint64_t delivered = 0;       // link->node deliveries
     std::uint64_t dropped_ttl = 0;
     std::uint64_t dropped_filter = 0;  // dropped by router filters/blocks
-    std::uint64_t dropped_queue = 0;   // computed lazily from queues
   };
   Counters& counters() { return counters_; }
-  // Sums queue drops over all links into counters().dropped_queue.
+  // Sum of the drops counted by every link's output queue.
   std::uint64_t total_queue_drops() const;
 
   // End-of-run snapshot into the registry: global packet counters,

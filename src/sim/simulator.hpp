@@ -59,19 +59,21 @@ class Simulator {
   }
 
   // Running fingerprint of this run: the event loop folds every dispatched
-  // event and the data plane folds every packet transition.
-  TraceDigest& trace() { return trace_; }
+  // event and emit() folds every fingerprinted packet transition.
   const TraceDigest& trace() const { return trace_; }
 
-  // Causal tracing sink (trace::Tracer::attach installs one).  Like
-  // profiling, tracing is observational: hooks fire only behind tracing(),
-  // never schedule events or consume randomness, so digests stay
-  // bit-identical whether a sink is installed or not.
-  void set_trace_sink(TraceSink sink) { trace_sink_ = sink; }
-  bool tracing() const { return static_cast<bool>(trace_sink_); }
-  void trace_event(const TraceEvent& e) {
+  // The one emission path for model transitions: folds the run digest for
+  // the verbs it fingerprints (TraceDigest::fold), then hands the event to
+  // the trace sink when one is attached.  Inline so a call site's constant
+  // verb resolves the recipe at compile time; with no sink the trace side
+  // costs one branch.
+  void emit(const TraceEvent& e) {
+    trace_.fold(e);
     if (trace_sink_) trace_sink_(e);
   }
+
+  // Causal tracing sink (trace::Tracer::attach installs one).
+  void set_trace_sink(TraceSink sink) { trace_sink_ = sink; }
 
   // Flight-recorder dump hook: appends the recorder's last-N-events tail to
   // `out`.  Returns false (and leaves `out` alone) when no recorder is

@@ -1,20 +1,23 @@
 // Causal trace events: the vocabulary shared by the simulator's trace sink
 // and the src/trace subsystem that records and exports them.
 //
-// This is deliberately separate from sim/trace_digest.hpp: the digest is a
-// one-way fingerprint folded unconditionally on every run (golden tests pin
-// it); trace events are a *descriptive* record emitted only when a sink is
-// installed.  Emitting them must never change the digest — hooks neither
-// schedule events nor consume randomness, they only describe transitions
-// that already happened.
+// Every model transition is described once, as a TraceEvent handed to
+// Simulator::emit.  That one call feeds both consumers: the run digest
+// (sim/trace_digest.hpp), which fingerprints the data-plane verbs on every
+// run and is pinned by the golden tests, and the trace sink, which records
+// every verb only when a trace::Tracer is attached.  The digest folds the
+// same records whether a sink is attached or not, and hooks neither schedule
+// events nor consume randomness — they only describe transitions that
+// already happened — so tracing leaves digests bit-identical.
 //
-// The emit idiom at every hook site is a single predicted-not-taken branch,
-// so the disabled path costs one load + compare and allocates nothing:
+// The emit idiom at every hook site is one call:
 //
-//   if (simulator.tracing()) {
-//     simulator.trace_event({simulator.now(), TraceVerb::kDeliver, node,
-//                            p.uid, /*cause=*/0, in_port, -1});
-//   }
+//   simulator.emit({simulator.now(), TraceVerb::kDeliver, node, p.uid,
+//                   /*cause=*/0, in_port, -1});
+//
+// emit is inline, so a call site's constant verb resolves the digest recipe
+// at compile time; with no sink attached the trace side costs one branch and
+// allocates nothing.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +48,7 @@ enum class TraceVerb : std::uint8_t {
   kFilterDrop,      // filter/no-route drop at node
   kDivert,          // HBP divert filter consumed   a=in_port,  b=edge stamp
   kTcpFastRetransmit,  // a=snd_una (low bits), b=dupacks
-  kTcpTimeout,         // a=snd_una (low bits), b=rto doublings? (impl-defined)
+  kTcpTimeout,         // a=snd_una (low bits), b=1 established, 0 SYN retry
   // Honeypot / HBP control plane (src/honeypot, src/core).
   kWindowStart,     // honeypot window opened       a=server,   b=epoch
   kWindowEnd,       // honeypot window closed       a=server,   b=epoch
@@ -58,9 +61,9 @@ enum class TraceVerb : std::uint8_t {
   kSessionOpen,     // HSM installed a session      a=as,       b=epoch
   kSessionClose,    // HSM tore a session down      a=as,       b=epoch
   kUpstream,        // wave propagated to parent AS a=from_as,  b=to_as
-  kIntraTrace,      // intra-AS input debugging     a=in_port
+  kIntraTrace,      // intra-AS input debugging     a=in_port,  b=as
   kIngressReached,  // traceback hit ingress router a=in_port,  b=neighbor_as
-  kLocalRequest,    // intra-AS local request       a=to_router
+  kLocalRequest,    // intra-AS local request       a=to_router, b=as
   kCapture,         // attacker host captured       a=dst addr
   // Pushback (src/pushback).
   kPushbackRequest,  // a=to_node, b=depth; id=aggregate

@@ -187,9 +187,9 @@ TEST_P(TwinSchedulerStress, IdenticalPopOrderAndDigest) {
     a.fn();
     reference_payloads.push_back(expected.payload);
     ASSERT_EQ(heap_payloads, reference_payloads);
-    heap_digest.fold(a.at, TraceKind::kEvent, -1, heap_payloads.size());
-    reference_digest.fold(SimTime(expected.at_ns), TraceKind::kEvent, -1,
-                          reference_payloads.size());
+    heap_digest.fold_dispatch(a.at, heap_payloads.size());
+    reference_digest.fold_dispatch(SimTime(expected.at_ns),
+                                   reference_payloads.size());
     clock = a.at.nanos();
   };
 

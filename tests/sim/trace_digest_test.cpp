@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
+#include "sim/trace_event.hpp"
+#include "trace/tracer.hpp"
 
 namespace hbp::sim {
 namespace {
@@ -17,17 +21,19 @@ TEST(TraceDigest, FreshDigestsAgree) {
 TEST(TraceDigest, FoldChangesValueAndCountsRecords) {
   TraceDigest d;
   const std::uint64_t empty = d.value();
-  d.fold(SimTime::millis(3), TraceKind::kTransmit, 7, 42);
+  d.fold_record(SimTime::millis(3), 2, 7, 42);
   EXPECT_NE(d.value(), empty);
-  // fold() absorbs three words: time, kind^node, uid.
+  // fold_record() absorbs three words: time, code^node, uid.
   EXPECT_EQ(d.records(), 3u);
 }
 
 TEST(TraceDigest, SameSequenceSameValue) {
   TraceDigest a, b;
   for (int i = 0; i < 100; ++i) {
-    a.fold(SimTime::millis(i), TraceKind::kDeliver, i % 5, static_cast<std::uint64_t>(i));
-    b.fold(SimTime::millis(i), TraceKind::kDeliver, i % 5, static_cast<std::uint64_t>(i));
+    const TraceEvent e{SimTime::millis(i), TraceVerb::kDeliver, i % 5,
+                       static_cast<std::uint64_t>(i), 0};
+    a.fold(e);
+    b.fold(e);
   }
   EXPECT_EQ(a.value(), b.value());
   EXPECT_EQ(a.records(), b.records());
@@ -35,34 +41,84 @@ TEST(TraceDigest, SameSequenceSameValue) {
 
 TEST(TraceDigest, OrderSensitive) {
   TraceDigest ab, ba;
-  ab.fold(SimTime::millis(1), TraceKind::kEvent, 1, 1);
-  ab.fold(SimTime::millis(2), TraceKind::kEvent, 2, 2);
-  ba.fold(SimTime::millis(2), TraceKind::kEvent, 2, 2);
-  ba.fold(SimTime::millis(1), TraceKind::kEvent, 1, 1);
+  ab.fold_dispatch(SimTime::millis(1), 1);
+  ab.fold_dispatch(SimTime::millis(2), 2);
+  ba.fold_dispatch(SimTime::millis(2), 2);
+  ba.fold_dispatch(SimTime::millis(1), 1);
   EXPECT_NE(ab.value(), ba.value());
 }
 
 TEST(TraceDigest, DiscriminatesEveryField) {
-  auto one = [](SimTime t, TraceKind k, NodeId n, std::uint64_t uid) {
+  auto one = [](SimTime t, std::uint32_t code, NodeId n, std::uint64_t uid) {
     TraceDigest d;
-    d.fold(t, k, n, uid);
+    d.fold_record(t, code, n, uid);
     return d.value();
   };
-  const std::uint64_t base =
-      one(SimTime::millis(1), TraceKind::kTransmit, 3, 9);
-  EXPECT_NE(base, one(SimTime::millis(2), TraceKind::kTransmit, 3, 9));
-  EXPECT_NE(base, one(SimTime::millis(1), TraceKind::kDeliver, 3, 9));
-  EXPECT_NE(base, one(SimTime::millis(1), TraceKind::kTransmit, 4, 9));
-  EXPECT_NE(base, one(SimTime::millis(1), TraceKind::kTransmit, 3, 10));
+  const std::uint64_t base = one(SimTime::millis(1), 2, 3, 9);
+  EXPECT_NE(base, one(SimTime::millis(2), 2, 3, 9));
+  EXPECT_NE(base, one(SimTime::millis(1), 3, 3, 9));
+  EXPECT_NE(base, one(SimTime::millis(1), 2, 4, 9));
+  EXPECT_NE(base, one(SimTime::millis(1), 2, 3, 10));
 }
 
 TEST(TraceDigest, ResetRestoresInitialState) {
   TraceDigest d;
   const std::uint64_t empty = d.value();
-  d.fold(SimTime::seconds(1), TraceKind::kQueueDrop, 2, 5);
+  d.fold_record(SimTime::seconds(1), 4, 2, 5);
   d.reset();
   EXPECT_EQ(d.value(), empty);
   EXPECT_EQ(d.records(), 0u);
+}
+
+// Pins the digest recipe verb by verb: emit() on a fresh Simulator must fold
+// exactly the records written out here with the frozen codes (2 transmit,
+// 3 deliver, 4 queue drop, 5 TTL drop, 6 filter drop), and nothing for every
+// other verb — with or without a trace sink attached.
+TEST(TraceDigest, EmitFoldsTheRecipeForEveryVerb) {
+  const SimTime t = SimTime::millis(5);
+  const NodeId node = 3;
+  const NodeId to_node = 9;
+  const std::uint64_t id = 77;
+  for (std::size_t v = 0; v < kTraceVerbCount; ++v) {
+    const auto verb = static_cast<TraceVerb>(v);
+    SCOPED_TRACE(verb_name(verb));
+    const TraceEvent e{t, verb, node, id, /*cause=*/11, to_node, /*b=*/4};
+
+    TraceDigest expected;
+    switch (verb) {
+      case TraceVerb::kEnqueue:
+        expected.fold_record(t, 2, node, id);
+        break;
+      case TraceVerb::kQueueDrop:
+        expected.fold_record(t, 2, node, id);
+        expected.fold_record(t, 4, to_node, id);
+        break;
+      case TraceVerb::kDeliver:
+        expected.fold_record(t, 3, node, id);
+        break;
+      case TraceVerb::kTtlDrop:
+        expected.fold_record(t, 5, node, id);
+        break;
+      case TraceVerb::kFilterDrop:
+        expected.fold_record(t, 6, node, id);
+        break;
+      default:
+        break;
+    }
+
+    Simulator bare;
+    bare.emit(e);
+    EXPECT_EQ(bare.trace().value(), expected.value());
+    EXPECT_EQ(bare.trace().records(), expected.records());
+
+    Simulator traced;
+    trace::Tracer tracer;
+    tracer.attach(traced);
+    traced.emit(e);
+    EXPECT_EQ(tracer.recorded(), 1u);
+    EXPECT_EQ(traced.trace().value(), bare.trace().value());
+    EXPECT_EQ(traced.trace().records(), bare.trace().records());
+  }
 }
 
 TEST(TraceDigest, SimulatorFoldsEveryDispatchedEvent) {

@@ -97,13 +97,12 @@ TEST(Tracer, ZeroFlightCapacityDisablesTheRing) {
 TEST(Tracer, AttachInstallsSimulatorSinkAndDetachRemovesIt) {
   sim::Simulator simulator;
   Tracer tracer;
-  EXPECT_FALSE(simulator.tracing());
+  EXPECT_FALSE(tracer.attached());
 
   tracer.attach(simulator);
-  EXPECT_TRUE(simulator.tracing());
   EXPECT_TRUE(tracer.attached());
 
-  simulator.trace_event(make_event(7));
+  simulator.emit(make_event(7));
   EXPECT_EQ(tracer.recorded(), 1u);
   EXPECT_EQ(tracer.event(0).id, 7u);
 
@@ -112,12 +111,11 @@ TEST(Tracer, AttachInstallsSimulatorSinkAndDetachRemovesIt) {
   EXPECT_NE(out.find("flight recorder"), std::string::npos);
 
   tracer.detach();
-  EXPECT_FALSE(simulator.tracing());
   EXPECT_FALSE(tracer.attached());
   out.clear();
   EXPECT_FALSE(simulator.dump_flight(out));
-  // A trace_event on a detached simulator is the zero-cost disabled path.
-  simulator.trace_event(make_event(8));
+  // An emit on a detached simulator reaches no sink.
+  simulator.emit(make_event(8));
   EXPECT_EQ(tracer.recorded(), 1u);
 }
 
@@ -126,11 +124,12 @@ TEST(Tracer, DestructorDetachesFromTheSimulator) {
   {
     Tracer tracer;
     tracer.attach(simulator);
-    EXPECT_TRUE(simulator.tracing());
+    EXPECT_TRUE(tracer.attached());
   }
-  EXPECT_FALSE(simulator.tracing());
   std::string out;
   EXPECT_FALSE(simulator.dump_flight(out));
+  // A sink left behind would now call into the destroyed tracer.
+  simulator.emit(make_event(9));
 }
 
 TEST(Tracer, DumpFlightFormatsVerbAndFields) {

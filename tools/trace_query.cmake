@@ -10,7 +10,8 @@
 #
 # -DID matches the event's id OR cause column, so querying the uid of the
 # packet that triggered a wave pulls every control event it caused.
-# (or use the `tools/trace_query run.csv [node] [id] [verb]` wrapper).
+# (or use the wrapper: `tools/trace_query run.csv [--node=<id>] [--id=<uid>]
+# [--verb=<verb>] [--limit=<n>]`).
 cmake_minimum_required(VERSION 3.20)
 
 if(NOT DEFINED TRACE)
