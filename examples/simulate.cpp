@@ -69,10 +69,8 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const std::string csv = flags.get_string("csv", "");
   // Causal tracing: --trace=run.json (Perfetto / chrome://tracing) or
-  // --trace=run.csv; --trace_flight sets the flight-recorder depth.
+  // --trace=run.csv.
   config.trace_path = flags.get_string("trace", "");
-  config.trace_flight =
-      static_cast<std::size_t>(flags.get_int("trace_flight", 256));
   flags.finish();
 
   const auto result = scenario::run_tree_experiment(config, seed);

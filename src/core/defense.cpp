@@ -271,14 +271,12 @@ void HbpDefense::report_to_server(net::AsId from, sim::Address dst,
 void HbpDefense::deliver_request(const HoneypotRequest& m) {
   Hsm* target = hsm(m.to_as);
   if (target == nullptr) return;
-  if (params_.authenticate) {
-    const util::Digest key = m.from_as == m.to_as || m.progressive_direct
-                                 ? keys_.server_key(m.to_as)
-                                 : keys_.pair_key(m.from_as, m.to_as);
-    if (!keys_.verify(m, key)) {
-      ++forged_rejected_;
-      return;
-    }
+  const util::Digest key = m.from_as == m.to_as || m.progressive_direct
+                               ? keys_.server_key(m.to_as)
+                               : keys_.pair_key(m.from_as, m.to_as);
+  if (!keys_.verify(m, key)) {
+    ++forged_rejected_;
+    return;
   }
   target->receive_request(m);
 }
@@ -286,20 +284,17 @@ void HbpDefense::deliver_request(const HoneypotRequest& m) {
 void HbpDefense::deliver_cancel(const HoneypotCancel& m) {
   Hsm* target = hsm(m.to_as);
   if (target == nullptr) return;
-  if (params_.authenticate) {
-    const util::Digest key = m.from_server
-                                 ? keys_.server_key(m.to_as)
-                                 : keys_.pair_key(m.from_as, m.to_as);
-    if (!keys_.verify(m, key)) {
-      ++forged_rejected_;
-      return;
-    }
+  const util::Digest key = m.from_server ? keys_.server_key(m.to_as)
+                                         : keys_.pair_key(m.from_as, m.to_as);
+  if (!keys_.verify(m, key)) {
+    ++forged_rejected_;
+    return;
   }
   target->receive_cancel(m);
 }
 
 void HbpDefense::deliver_report(const IntermediateReport& m) {
-  if (params_.authenticate && !keys_.verify(m, keys_.server_key(m.as))) {
+  if (!keys_.verify(m, keys_.server_key(m.as))) {
     ++forged_rejected_;
     return;
   }

@@ -39,7 +39,6 @@ struct HbpParams {
   sim::SimTime tau_estimate = sim::SimTime::millis(500);  // direct-send lead
   sim::SimTime report_grace = sim::SimTime::seconds(1.5); // reports settle
 
-  bool authenticate = true;
   DeploymentPolicy deployment;
   util::Digest master_secret{};  // key-store master
 };

@@ -50,7 +50,8 @@ void HbpRouterAgent::harvest(sim::Address dst, int switch_port) {
     // window opens, then resume harvesting.
     hsm_.defense().simulator().at(
         session.window.start + sim::SimTime::millis(50),
-        [this, dst, switch_port] { harvest(dst, switch_port); });
+        [this, dst, switch_port] { harvest(dst, switch_port); },
+        "core.hsm.harvest");
     return;
   }
 

@@ -62,14 +62,12 @@ sim::Address RoamingClient::next_destination() {
     if (chosen != current_server_) {
       current_server_ = chosen;
       ++migrations_;
-      if (params_.handshake_on_new_server) {
-        sim::Packet syn;
-        syn.type = sim::PacketType::kHandshakeSyn;
-        syn.src = host_.address();
-        syn.dst = pool_.address(current_server_);
-        syn.size_bytes = 64;
-        host_.send(std::move(syn));
-      }
+      sim::Packet syn;
+      syn.type = sim::PacketType::kHandshakeSyn;
+      syn.src = host_.address();
+      syn.dst = pool_.address(current_server_);
+      syn.size_bytes = 64;
+      host_.send(std::move(syn));
     }
   }
 

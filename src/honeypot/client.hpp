@@ -25,7 +25,6 @@ struct RoamingClientParams {
   // Actual skew is drawn uniformly from [-max_clock_skew, +max_clock_skew];
   // must not exceed the pool's δ.
   sim::SimTime max_clock_skew = sim::SimTime::millis(100);
-  bool handshake_on_new_server = true;
 };
 
 class RoamingClient {

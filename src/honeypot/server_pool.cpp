@@ -51,9 +51,9 @@ void ServerPool::start() {
     receivers_.push_back(Receiver{this, server});
     host.set_receiver(receivers_.back());
   }
-  const sim::SimTime first = schedule_.epoch_start(params_.first_epoch);
+  const sim::SimTime first = schedule_.epoch_start(1);
   simulator_.at(first >= simulator_.now() ? first : simulator_.now(),
-                [this] { on_epoch(params_.first_epoch); },
+                [this] { on_epoch(1); },
                 "honeypot.pool.epoch");
 }
 

@@ -33,8 +33,7 @@ namespace hbp::honeypot {
 struct ServerPoolParams {
   sim::SimTime delta = sim::SimTime::millis(200);  // clock-shift bound δ
   sim::SimTime gamma = sim::SimTime::millis(100);  // est. client-server delay γ
-  std::size_t first_epoch = 1;
-  std::size_t last_epoch = 1000;  // epochs to schedule
+  std::size_t last_epoch = 1000;  // epochs 1..last_epoch are scheduled
 };
 
 class ServerPool {

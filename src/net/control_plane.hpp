@@ -50,7 +50,6 @@ class ControlPlane {
   std::uint64_t messages_sent(const std::string& kind) const;
   std::uint64_t total_messages() const { return total_; }
   std::uint64_t messages_lost() const { return lost_; }
-  const std::map<std::string, std::uint64_t>& per_kind() const { return sent_; }
 
   const Params& params() const { return params_; }
 

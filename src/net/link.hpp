@@ -16,7 +16,8 @@ struct LinkParams {
   double capacity_bps = 10e6;
   sim::SimTime delay = sim::SimTime::millis(1);
   std::int64_t queue_bytes = 64'000;
-  // Optional custom queue; when unset a DropTailQueue(queue_bytes) is used.
+  // Unset in every model run: the link builds a DropTailQueue(queue_bytes).
+  // It is the seam through which the invariant tests inject faulty queues.
   QueueFactory queue_factory;
 };
 

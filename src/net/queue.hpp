@@ -1,4 +1,4 @@
-// Output-queue disciplines for links: drop-tail and RED.
+// Output queues for links: the PacketQueue interface and its drop-tail FIFO.
 //
 // Pushback's ACC detects congestion from the drop history of the output
 // queue, so queues expose drop counters and an optional drop observer.
@@ -15,7 +15,7 @@
 
 namespace hbp::net {
 
-// Called with every packet the queue drops (overflow or RED early drop).
+// Called with every packet the queue drops on overflow.
 // Non-owning: the observer callable must outlive the queue registration
 // (name the lambda, or bind a member function of a long-lived component).
 using DropObserver = util::function_ref<void(const sim::Packet&)>;
@@ -77,44 +77,6 @@ class DropTailQueue final : public PacketQueue {
   util::RingBuffer<sim::Packet> q_;
 };
 
-// Random Early Detection (Floyd & Jacobson 1993), byte mode, with an
-// exponentially-weighted average queue size.  Drop probability ramps from 0
-// at min_th to max_p at max_th; above max_th everything is dropped.
-class RedQueue final : public PacketQueue {
- public:
-  struct Params {
-    std::int64_t capacity_bytes = 64'000;
-    double min_th_bytes = 16'000;
-    double max_th_bytes = 48'000;
-    double max_p = 0.1;
-    double weight = 0.002;      // EWMA weight
-    std::uint64_t seed = 1;     // deterministic drop decisions
-  };
-
-  explicit RedQueue(const Params& params);
-
-  bool enqueue(sim::Packet&& p) override;
-  std::optional<sim::Packet> dequeue() override;
-  std::int64_t byte_length() const override { return bytes_; }
-  std::size_t packet_length() const override { return q_.size(); }
-  std::int64_t recount_bytes() const override;
-
-  double average_bytes() const { return avg_; }
-
- private:
-  double drop_probability() const;
-
-  Params params_;
-  std::int64_t bytes_ = 0;
-  double avg_ = 0.0;
-  std::uint64_t count_since_drop_ = 0;
-  std::uint64_t rng_state_;
-  util::RingBuffer<sim::Packet> q_;
-};
-
 using QueueFactory = std::function<std::unique_ptr<PacketQueue>()>;
-
-// Default factory: drop-tail with the given byte capacity.
-QueueFactory droptail_factory(std::int64_t capacity_bytes);
 
 }  // namespace hbp::net

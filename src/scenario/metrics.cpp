@@ -13,8 +13,7 @@ ThroughputMeter::ThroughputMeter(sim::Simulator& simulator,
     : simulator_(simulator),
       reference_bps_(reference_bps),
       bin_(bin),
-      series_(simulator.telemetry().time_series(
-          "scenario.goodput.bytes", bin, telemetry::TimeSeries::Mode::kSum)),
+      series_(simulator.telemetry().time_series("scenario.goodput.bytes", bin)),
       total_bytes_(simulator.telemetry().counter("scenario.goodput.total_bytes")) {
   HBP_ASSERT(reference_bps > 0);
   HBP_ASSERT(bin > sim::SimTime::zero());

@@ -13,9 +13,7 @@ RunHarness::RunHarness(const ObserveOptions& options)
       network_(simulator_) {
   if (options.profile) simulator_.enable_profiling();
   if (!trace_path_.empty()) {
-    trace::TracerOptions trace_options;
-    trace_options.flight_capacity = options.trace_flight;
-    tracer_ = std::make_unique<trace::Tracer>(trace_options);
+    tracer_ = std::make_unique<trace::Tracer>();
     tracer_->attach(simulator_, &network_);
   }
 }

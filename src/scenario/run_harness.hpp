@@ -38,9 +38,6 @@ struct ObserveOptions {
   // path after the run (".csv" => long-format CSV, anything else => Chrome
   // trace-event / Perfetto JSON).
   std::string trace_path;
-  // Flight-recorder depth: the last N trace events kept for the invariant
-  // checker's failure diagnostic.
-  std::size_t trace_flight = 256;
 };
 
 // The part of a run's result every scenario shares.

@@ -36,8 +36,11 @@ std::string to_string(AttackerPlacement p) {
 
 TreeResult run_tree_experiment(const TreeExperimentConfig& config,
                                std::uint64_t seed) {
-  HBP_ASSERT(config.n_clients + config.n_attackers <=
-             static_cast<int>(config.tree.leaf_count));
+  const int roles =
+      config.n_clients + config.n_attackers + config.tcp_downloads +
+      (config.benign_probe_rate > 0.0 ? config.benign_probers : 0);
+  HBP_ASSERT_MSG(roles <= static_cast<int>(config.tree.leaf_count),
+                 "clients, attackers, downloads and probers exceed the leaves");
 
   RunHarness harness(config);
   sim::Simulator& simulator = harness.simulator();
@@ -79,6 +82,11 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
   place_rng.shuffle(client_pool);
   client_pool.resize(static_cast<std::size_t>(config.n_clients));
 
+  // The download receivers, then the benign probers, take the free leaves
+  // in leaf order; one ledger keeps any two roles off the same host.
+  std::vector<bool> used = is_attacker;
+  for (const std::size_t i : client_pool) used[i] = true;
+
   // --- bystander TCP downloads across the bottleneck ---
   std::vector<std::unique_ptr<transport::TcpSender>> tcp_senders;
   std::vector<std::unique_ptr<transport::TcpReceiver>> tcp_receivers;
@@ -86,9 +94,6 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
   std::int64_t tcp_delivered_at_end = 0;
   std::int64_t tcp_delivered_at_one = 0;
   if (config.tcp_downloads > 0) {
-    std::vector<bool> used(leaves, false);
-    for (const std::size_t i : attacker_slots) used[i] = true;
-    for (const std::size_t i : client_pool) used[i] = true;
     net::LinkParams dl_link;
     dl_link.capacity_bps = config.tree.server_bps;
     dl_link.delay = config.tree.server_delay;
@@ -112,7 +117,8 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
       const sim::Address receiver_addr = receiver_host.address();
       transport::TcpSender* sender = tcp_senders.back().get();
       simulator.at(sim::SimTime::zero(),
-                   [sender, receiver_addr] { sender->connect(receiver_addr); });
+                   [sender, receiver_addr] { sender->connect(receiver_addr); },
+                   "scenario.tcp.connect");
       ++placed;
     }
     network.compute_routes();  // new hosts need routes
@@ -123,11 +129,14 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
       return total;
     };
     simulator.at(sim::SimTime::seconds(1.0),
-                 [&, total_delivered] { tcp_delivered_at_one = total_delivered(); });
+                 [&, total_delivered] { tcp_delivered_at_one = total_delivered(); },
+                 "scenario.tcp.sample");
     simulator.at(sim::SimTime::seconds(config.attack_start),
-                 [&, total_delivered] { tcp_delivered_at_start = total_delivered(); });
+                 [&, total_delivered] { tcp_delivered_at_start = total_delivered(); },
+                 "scenario.tcp.sample");
     simulator.at(sim::SimTime::seconds(config.attack_end),
-                 [&, total_delivered] { tcp_delivered_at_end = total_delivered(); });
+                 [&, total_delivered] { tcp_delivered_at_end = total_delivered(); },
+                 "scenario.tcp.sample");
   }
 
 
@@ -319,9 +328,6 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
   std::vector<std::unique_ptr<util::Rng>> probe_rngs;
   std::vector<std::unique_ptr<traffic::ProbeSource>> probes;
   if (config.benign_probe_rate > 0.0) {
-    std::vector<bool> used(leaves, false);
-    for (const std::size_t i : attacker_slots) used[i] = true;
-    for (const std::size_t i : client_pool) used[i] = true;
     int placed = 0;
     for (std::size_t leaf = 0; leaf < leaves && placed < config.benign_probers;
          ++leaf) {

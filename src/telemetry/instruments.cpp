@@ -79,62 +79,31 @@ void Log2Histogram::merge(const Log2Histogram& other) {
   sum_ += other.sum_;
 }
 
-TimeSeries::TimeSeries(sim::SimTime interval, Mode mode)
-    : interval_(interval), mode_(mode) {
+TimeSeries::TimeSeries(sim::SimTime interval) : interval_(interval) {
   HBP_ASSERT(interval > sim::SimTime::zero());
 }
 
 void TimeSeries::record(sim::SimTime t, double v) {
   HBP_ASSERT(t >= sim::SimTime::zero());
   const auto b = static_cast<std::size_t>(t.nanos() / interval_.nanos());
-  if (bins_.size() <= b) bins_.resize(b + 1);
-  Bin& bin = bins_[b];
-  switch (mode_) {
-    case Mode::kSum:
-      bin.value += v;
-      break;
-    case Mode::kMax:
-      bin.value = bin.touched ? std::max(bin.value, v) : v;
-      break;
-    case Mode::kLast:
-      bin.value = v;
-      break;
-  }
-  bin.touched = true;
+  if (bins_.size() <= b) bins_.resize(b + 1, 0.0);
+  bins_[b] += v;
 }
 
 double TimeSeries::bin_value(std::size_t b) const {
-  return b < bins_.size() && bins_[b].touched ? bins_[b].value : 0.0;
+  return b < bins_.size() ? bins_[b] : 0.0;
 }
 
 std::vector<double> TimeSeries::values(std::size_t min_bins) const {
-  std::vector<double> out(std::max(bins_.size(), min_bins), 0.0);
-  for (std::size_t b = 0; b < bins_.size(); ++b) {
-    if (bins_[b].touched) out[b] = bins_[b].value;
-  }
+  std::vector<double> out(bins_);
+  if (out.size() < min_bins) out.resize(min_bins, 0.0);
   return out;
 }
 
 void TimeSeries::merge(const TimeSeries& other) {
-  HBP_ASSERT(interval_ == other.interval_ && mode_ == other.mode_);
-  if (bins_.size() < other.bins_.size()) bins_.resize(other.bins_.size());
-  for (std::size_t b = 0; b < other.bins_.size(); ++b) {
-    const Bin& o = other.bins_[b];
-    if (!o.touched) continue;
-    Bin& bin = bins_[b];
-    switch (mode_) {
-      case Mode::kSum:
-        bin.value += o.value;
-        break;
-      case Mode::kMax:
-        bin.value = bin.touched ? std::max(bin.value, o.value) : o.value;
-        break;
-      case Mode::kLast:
-        bin.value = o.value;
-        break;
-    }
-    bin.touched = true;
-  }
+  HBP_ASSERT(interval_ == other.interval_);
+  if (bins_.size() < other.bins_.size()) bins_.resize(other.bins_.size(), 0.0);
+  for (std::size_t b = 0; b < other.bins_.size(); ++b) bins_[b] += other.bins_[b];
 }
 
 }  // namespace hbp::telemetry

@@ -77,23 +77,16 @@ class Log2Histogram {
 };
 
 // Fixed-interval recorder over simulation time: sample (t, v) pairs are
-// folded into bin floor(t / interval).  Recording is passive — the series
+// summed into bin floor(t / interval).  Recording is passive — the series
 // is advanced by whatever events already happen, never by its own timer —
 // so enabling it cannot perturb the event schedule.
 class TimeSeries {
  public:
-  enum class Mode {
-    kSum,   // bin value = sum of samples (byte counts, message counts)
-    kMax,   // bin value = max sample (peak depths)
-    kLast,  // bin value = last sample (sampled gauges)
-  };
-
-  TimeSeries(sim::SimTime interval, Mode mode);
+  explicit TimeSeries(sim::SimTime interval);
 
   void record(sim::SimTime t, double v);
 
   sim::SimTime interval() const { return interval_; }
-  Mode mode() const { return mode_; }
 
   // Number of bins touched so far (trailing empty bins are not stored).
   std::size_t bin_count() const { return bins_.size(); }
@@ -105,14 +98,8 @@ class TimeSeries {
   void merge(const TimeSeries& other);
 
  private:
-  struct Bin {
-    double value = 0.0;
-    bool touched = false;
-  };
-
   sim::SimTime interval_;
-  Mode mode_;
-  std::vector<Bin> bins_;
+  std::vector<double> bins_;
 };
 
 }  // namespace hbp::telemetry

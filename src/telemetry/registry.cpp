@@ -37,18 +37,17 @@ Log2Histogram& Registry::histogram(std::string_view name) {
   return *it->second.histogram;
 }
 
-TimeSeries& Registry::time_series(std::string_view name, sim::SimTime interval,
-                                  TimeSeries::Mode mode) {
+TimeSeries& Registry::time_series(std::string_view name,
+                                  sim::SimTime interval) {
   auto it = instruments_.find(name);
   if (it == instruments_.end()) {
     it = instruments_.emplace(std::string(name), Slot{}).first;
-    it->second.series = std::make_unique<TimeSeries>(interval, mode);
+    it->second.series = std::make_unique<TimeSeries>(interval);
   }
   HBP_ASSERT_MSG(it->second.series != nullptr,
                  "telemetry name already registered with a different type");
-  HBP_ASSERT_MSG(it->second.series->interval() == interval &&
-                     it->second.series->mode() == mode,
-                 "telemetry time series re-registered with different shape");
+  HBP_ASSERT_MSG(it->second.series->interval() == interval,
+                 "telemetry time series re-registered with different interval");
   return *it->second.series;
 }
 
@@ -82,7 +81,7 @@ void Registry::merge(const Registry& other) {
     } else if (h != nullptr) {
       histogram(name).merge(*h);
     } else if (s != nullptr) {
-      time_series(name, s->interval(), s->mode()).merge(*s);
+      time_series(name, s->interval()).merge(*s);
     }
   });
 }

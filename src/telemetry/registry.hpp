@@ -30,8 +30,7 @@ class Registry {
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   Log2Histogram& histogram(std::string_view name);
-  TimeSeries& time_series(std::string_view name, sim::SimTime interval,
-                          TimeSeries::Mode mode);
+  TimeSeries& time_series(std::string_view name, sim::SimTime interval);
 
   std::size_t size() const { return instruments_.size(); }
   bool contains(std::string_view name) const {

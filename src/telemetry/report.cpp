@@ -108,10 +108,7 @@ void emit_metrics(JsonWriter& json, const Registry& registry) {
     } else if (series != nullptr) {
       json.kv("type", "time_series");
       json.kv("interval_seconds", series->interval().to_seconds());
-      const char* mode = "sum";
-      if (series->mode() == TimeSeries::Mode::kMax) mode = "max";
-      if (series->mode() == TimeSeries::Mode::kLast) mode = "last";
-      json.kv("mode", mode);
+      json.kv("mode", "sum");  // all series sum; the schema keeps the key
       json.key("values").begin_array();
       for (const double v : series->values()) json.value(v);
       json.end_array();
@@ -151,14 +148,13 @@ void emit_perf(JsonWriter& json, const PerfStats& perf) {
 }  // namespace
 
 std::string render_run_report(const RunManifest& manifest,
-                              const Registry* registry, const PerfStats* perf,
-                              const ReportOptions& options) {
+                              const Registry* registry, const PerfStats* perf) {
   JsonWriter json;
   json.begin_object();
   json.kv("schema", "hbp-run-report/1");
   emit_manifest(json, manifest);
   if (registry != nullptr) emit_metrics(json, *registry);
-  if (perf != nullptr && options.include_perf) emit_perf(json, *perf);
+  if (perf != nullptr) emit_perf(json, *perf);
   json.end_object();
   std::string out = json.str();
   out += '\n';
@@ -166,9 +162,8 @@ std::string render_run_report(const RunManifest& manifest,
 }
 
 void write_run_report(const std::string& path, const RunManifest& manifest,
-                      const Registry* registry, const PerfStats* perf,
-                      const ReportOptions& options) {
-  write_file_or_die(path, render_run_report(manifest, registry, perf, options));
+                      const Registry* registry, const PerfStats* perf) {
+  write_file_or_die(path, render_run_report(manifest, registry, perf));
 }
 
 std::string render_bench_record(const std::string& name,

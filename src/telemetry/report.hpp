@@ -63,18 +63,14 @@ std::uint64_t peak_rss_bytes();
 
 // --- run report ("hbp-run-report/1") ---
 
-struct ReportOptions {
-  bool include_perf = true;
-};
-
+// `perf == nullptr` omits the host-dependent "perf" object, leaving a
+// report that is byte-identical across same-seed runs.
 std::string render_run_report(const RunManifest& manifest,
-                              const Registry* registry, const PerfStats* perf,
-                              const ReportOptions& options = {});
+                              const Registry* registry, const PerfStats* perf);
 
 // Writes the report to `path`; aborts if the file cannot be written.
 void write_run_report(const std::string& path, const RunManifest& manifest,
-                      const Registry* registry, const PerfStats* perf,
-                      const ReportOptions& options = {});
+                      const Registry* registry, const PerfStats* perf);
 
 // --- bench perf record ("hbp-bench/1") ---
 

@@ -115,15 +115,6 @@ Tree build_tree(net::Network& network, util::Rng& rng, const TreeParams& params,
   bottleneck.capacity_bps = params.bottleneck_bps;
   bottleneck.delay = params.bottleneck_delay;
   bottleneck.queue_bytes = params.bottleneck_queue_bytes;
-  if (params.red_bottleneck) {
-    net::RedQueue::Params red;
-    red.capacity_bytes = params.bottleneck_queue_bytes;
-    red.min_th_bytes = 0.25 * static_cast<double>(params.bottleneck_queue_bytes);
-    red.max_th_bytes = 0.75 * static_cast<double>(params.bottleneck_queue_bytes);
-    bottleneck.queue_factory = [red] {
-      return std::make_unique<net::RedQueue>(red);
-    };
-  }
 
   net::LinkParams core;
   core.capacity_bps = params.core_bps;

@@ -50,9 +50,6 @@ struct TreeParams {
   sim::SimTime server_delay = sim::SimTime::millis(1);
   std::int64_t bottleneck_queue_bytes = 64'000;
   std::int64_t default_queue_bytes = 64'000;
-  // RED instead of drop-tail at the bottleneck (the queue ACC was designed
-  // around); thresholds scale from bottleneck_queue_bytes.
-  bool red_bottleneck = false;
 
   // AS partition: transit-AS bands of `as_band_span` router levels; the
   // subtree under each router at depth `stub_depth` forms one stub AS.

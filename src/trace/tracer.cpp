@@ -9,9 +9,8 @@
 
 namespace hbp::trace {
 
-Tracer::Tracer(const TracerOptions& options) : options_(options) {
-  flight_.resize(options_.flight_capacity);
-}
+Tracer::Tracer(const TracerOptions& options)
+    : flight_(options.flight_capacity) {}
 
 Tracer::~Tracer() { detach(); }
 
@@ -38,7 +37,6 @@ void Tracer::record(const sim::TraceEvent& e) {
     flight_head_ = (flight_head_ + 1) % flight_.size();
     if (flight_count_ < flight_.size()) ++flight_count_;
   }
-  if (!options_.keep_full) return;
   if (size_ == chunks_.size() * kChunkEvents) {
     chunks_.push_back(std::make_unique<Chunk>());
   }

@@ -6,8 +6,7 @@
 //    the enabled path stays cheap and the disabled path (no Tracer
 //    attached) costs exactly one branch per hook;
 //  * a fixed-capacity flight-recorder ring (last N events) that
-//    net::InvariantChecker dumps into its diagnostic when an audit fails,
-//    whether or not the full trace is kept.
+//    net::InvariantChecker dumps into its diagnostic when an audit fails.
 //
 // A Tracer must outlive its attachment: attach() hands the Simulator
 // function_refs bound to *this (see util/function_ref.hpp's lifetime
@@ -33,10 +32,6 @@ class Registry;
 namespace hbp::trace {
 
 struct TracerOptions {
-  // Keep the full event stream for export.  When false only the flight
-  // ring and per-verb counters are maintained (bounded memory, still
-  // enough for invariant-failure forensics).
-  bool keep_full = true;
   // Flight-recorder depth ("last N events"); 0 disables the ring.
   std::size_t flight_capacity = 256;
 };
@@ -59,13 +54,13 @@ class Tracer {
   // The sink itself; also callable directly (tests).
   void record(const sim::TraceEvent& e);
 
-  // Total events seen (recorded + flight-only).
+  // Total events seen.
   std::uint64_t recorded() const { return recorded_; }
   std::uint64_t verb_count(sim::TraceVerb v) const {
     return by_verb_[static_cast<std::size_t>(v)];
   }
 
-  // Full-trace access, in emission order (empty when keep_full is off).
+  // Full-trace access, in emission order.
   std::size_t size() const { return size_; }
   const sim::TraceEvent& event(std::size_t i) const { return event_at(i); }
   template <typename Fn>
@@ -100,7 +95,6 @@ class Tracer {
     return (*chunks_[i / kChunkEvents])[i % kChunkEvents];
   }
 
-  TracerOptions options_;
   sim::Simulator* attached_ = nullptr;
   const net::Network* network_ = nullptr;
 

@@ -34,8 +34,8 @@ struct HsmFixture : public ::testing::Test {
         std::vector{topo.server_addr}, store, honeypot::ServerPoolParams{});
     control = std::make_unique<net::ControlPlane>(simulator,
                                                   net::ControlPlane::Params{});
-    // Default params: authenticate = true, master_secret = all zeros — the
-    // local KeyStore below derives the same keys the defense uses.
+    // Default params: master_secret = all zeros — the local KeyStore below
+    // derives the same keys the defense uses.
     defense = std::make_unique<HbpDefense>(simulator, network, *control, *pool,
                                            topo.as_map, HbpParams{});
     defense->start();

@@ -54,63 +54,5 @@ TEST(DropTailQueue, DropObserverSeesDroppedPacket) {
   EXPECT_EQ(dropped_uid, 2u);
 }
 
-TEST(RedQueue, NoDropsBelowMinThreshold) {
-  RedQueue::Params params;
-  params.capacity_bytes = 100'000;
-  params.min_th_bytes = 50'000;
-  params.max_th_bytes = 90'000;
-  RedQueue q(params);
-  for (int i = 0; i < 20; ++i) EXPECT_TRUE(q.enqueue(packet(1000)));
-  EXPECT_EQ(q.drops(), 0u);
-}
-
-TEST(RedQueue, EarlyDropsBetweenThresholds) {
-  RedQueue::Params params;
-  params.capacity_bytes = 200'000;
-  params.min_th_bytes = 5'000;
-  params.max_th_bytes = 50'000;
-  params.max_p = 0.5;
-  params.weight = 0.5;  // fast-moving average for the test
-  RedQueue q(params);
-  int accepted = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (q.enqueue(packet(1000))) ++accepted;
-  }
-  EXPECT_GT(q.drops(), 0u);
-  EXPECT_GT(accepted, 0);
-}
-
-TEST(RedQueue, HardCapacityStillEnforced) {
-  RedQueue::Params params;
-  params.capacity_bytes = 3'000;
-  params.min_th_bytes = 1'000;
-  params.max_th_bytes = 2'500;
-  params.weight = 0.0001;  // avg stays ~0, no early drops
-  RedQueue q(params);
-  EXPECT_TRUE(q.enqueue(packet(1500)));
-  EXPECT_TRUE(q.enqueue(packet(1500)));
-  EXPECT_FALSE(q.enqueue(packet(1500)));
-}
-
-TEST(RedQueue, DequeueFifo) {
-  RedQueue::Params params;
-  RedQueue q(params);
-  q.enqueue(packet(100, 1));
-  q.enqueue(packet(100, 2));
-  EXPECT_EQ(q.dequeue()->uid, 1u);
-  EXPECT_EQ(q.dequeue()->uid, 2u);
-}
-
-TEST(QueueFactory, DroptailFactoryProducesIndependentQueues) {
-  auto factory = droptail_factory(1000);
-  auto a = factory();
-  auto b = factory();
-  EXPECT_TRUE(a->enqueue(packet(900)));
-  EXPECT_TRUE(b->enqueue(packet(900)));
-  EXPECT_FALSE(a->enqueue(packet(900)));
-  EXPECT_EQ(a->drops(), 1u);
-  EXPECT_EQ(b->drops(), 0u);
-}
-
 }  // namespace
 }  // namespace hbp::net

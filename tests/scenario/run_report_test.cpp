@@ -28,7 +28,7 @@ TreeExperimentConfig mini_tree(bool profile) {
   return config;
 }
 
-std::string report_of(const TreeResult& r, bool include_perf) {
+std::string report_of(const TreeResult& r, bool with_perf) {
   telemetry::RunManifest manifest;
   manifest.name = "mini_tree";
   manifest.seed = 7;
@@ -36,10 +36,8 @@ std::string report_of(const TreeResult& r, bool include_perf) {
   manifest.events_executed = r.events_executed;
   manifest.sim_seconds = 30.0;
   manifest.set_int("leaves", 60);
-  telemetry::ReportOptions options;
-  options.include_perf = include_perf;
-  return telemetry::render_run_report(manifest, r.telemetry.get(), &r.perf,
-                                      options);
+  return telemetry::render_run_report(manifest, r.telemetry.get(),
+                                      with_perf ? &r.perf : nullptr);
 }
 
 TEST(RunReportDeterminism, SameSeedRendersByteIdenticalMinusPerf) {
@@ -48,13 +46,13 @@ TEST(RunReportDeterminism, SameSeedRendersByteIdenticalMinusPerf) {
   const TreeResult b = run_tree_experiment(config, 7);
 
   // Everything outside "perf" is a pure function of (config, seed).
-  EXPECT_EQ(report_of(a, /*include_perf=*/false),
-            report_of(b, /*include_perf=*/false));
+  EXPECT_EQ(report_of(a, /*with_perf=*/false),
+            report_of(b, /*with_perf=*/false));
 
   // With perf included, the deterministic prefix (up to `"perf":`) still
   // matches — the contract consumers rely on to diff reports across hosts.
-  const std::string fa = report_of(a, /*include_perf=*/true);
-  const std::string fb = report_of(b, /*include_perf=*/true);
+  const std::string fa = report_of(a, /*with_perf=*/true);
+  const std::string fb = report_of(b, /*with_perf=*/true);
   const auto pa = fa.find("\"perf\":");
   const auto pb = fb.find("\"perf\":");
   ASSERT_NE(pa, std::string::npos);
@@ -115,6 +113,31 @@ TEST(RunReportDeterminism, StringExperimentProfilingDigestStable) {
   EXPECT_EQ(off.trace_digest, on.trace_digest);
   EXPECT_EQ(off.events_executed, on.events_executed);
   EXPECT_EQ(off.capture_seconds, on.capture_seconds);
+}
+
+TEST(RunReportDeterminism, EverySchedulingSiteIsLabelled) {
+  // The profiler bills an unlabelled at()/after() to "other"; every site
+  // in the model names its layer, so profiled runs export no such counter.
+  auto tree = mini_tree(/*profile=*/true);
+  tree.tcp_downloads = 1;
+  const TreeResult t = run_tree_experiment(tree, 7);
+  ASSERT_TRUE(t.telemetry != nullptr);
+  EXPECT_NE(t.telemetry->find_counter("sim.dispatch.scenario.tcp.connect"),
+            nullptr);
+  EXPECT_EQ(t.telemetry->find_counter("sim.dispatch.other"), nullptr);
+
+  StringExperimentConfig string_config;
+  string_config.m = 5.0;
+  string_config.p = 0.5;
+  string_config.h = 4;
+  string_config.progressive = true;
+  string_config.horizon_seconds = 300.0;
+  string_config.profile = true;
+  const StringResult s = run_string_experiment(string_config, 42);
+  ASSERT_TRUE(s.telemetry != nullptr);
+  EXPECT_NE(s.telemetry->find_counter("sim.dispatch.core.hsm.harvest"),
+            nullptr);
+  EXPECT_EQ(s.telemetry->find_counter("sim.dispatch.other"), nullptr);
 }
 
 }  // namespace

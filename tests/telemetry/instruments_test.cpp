@@ -201,7 +201,7 @@ TEST(Log2Histogram, Merge) {
 }
 
 TEST(TimeSeries, SumMode) {
-  TimeSeries s(sim::SimTime::seconds(1), TimeSeries::Mode::kSum);
+  TimeSeries s(sim::SimTime::seconds(1));
   s.record(sim::SimTime::millis(100), 10.0);
   s.record(sim::SimTime::millis(900), 5.0);
   s.record(sim::SimTime::millis(2500), 7.0);
@@ -213,26 +213,14 @@ TEST(TimeSeries, SumMode) {
 }
 
 TEST(TimeSeries, BinBoundaryIsHalfOpen) {
-  TimeSeries s(sim::SimTime::seconds(1), TimeSeries::Mode::kSum);
+  TimeSeries s(sim::SimTime::seconds(1));
   s.record(sim::SimTime::seconds(1), 1.0);  // exactly t = 1 s -> bin 1
   EXPECT_DOUBLE_EQ(s.bin_value(0), 0.0);
   EXPECT_DOUBLE_EQ(s.bin_value(1), 1.0);
 }
 
-TEST(TimeSeries, MaxAndLastModes) {
-  TimeSeries mx(sim::SimTime::seconds(1), TimeSeries::Mode::kMax);
-  mx.record(sim::SimTime::millis(10), -5.0);
-  mx.record(sim::SimTime::millis(20), -7.0);
-  EXPECT_DOUBLE_EQ(mx.bin_value(0), -5.0);  // max of negatives, not 0
-
-  TimeSeries last(sim::SimTime::seconds(1), TimeSeries::Mode::kLast);
-  last.record(sim::SimTime::millis(10), 3.0);
-  last.record(sim::SimTime::millis(20), 9.0);
-  EXPECT_DOUBLE_EQ(last.bin_value(0), 9.0);
-}
-
 TEST(TimeSeries, ValuesPadsWithZeros) {
-  TimeSeries s(sim::SimTime::seconds(1), TimeSeries::Mode::kSum);
+  TimeSeries s(sim::SimTime::seconds(1));
   s.record(sim::SimTime::millis(1500), 4.0);
   const auto dense = s.values(5);
   ASSERT_EQ(dense.size(), 5u);
@@ -242,8 +230,8 @@ TEST(TimeSeries, ValuesPadsWithZeros) {
 }
 
 TEST(TimeSeries, Merge) {
-  TimeSeries a(sim::SimTime::seconds(1), TimeSeries::Mode::kSum);
-  TimeSeries b(sim::SimTime::seconds(1), TimeSeries::Mode::kSum);
+  TimeSeries a(sim::SimTime::seconds(1));
+  TimeSeries b(sim::SimTime::seconds(1));
   a.record(sim::SimTime::millis(500), 1.0);
   b.record(sim::SimTime::millis(600), 2.0);
   b.record(sim::SimTime::millis(3500), 4.0);
@@ -251,13 +239,6 @@ TEST(TimeSeries, Merge) {
   EXPECT_EQ(a.bin_count(), 4u);
   EXPECT_DOUBLE_EQ(a.bin_value(0), 3.0);
   EXPECT_DOUBLE_EQ(a.bin_value(3), 4.0);
-
-  TimeSeries m1(sim::SimTime::seconds(1), TimeSeries::Mode::kMax);
-  TimeSeries m2(sim::SimTime::seconds(1), TimeSeries::Mode::kMax);
-  m1.record(sim::SimTime::millis(100), -2.0);
-  m2.record(sim::SimTime::millis(200), -9.0);
-  m1.merge(m2);
-  EXPECT_DOUBLE_EQ(m1.bin_value(0), -2.0);
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ TEST(Registry, FindIsTypedAndNullOnMismatch) {
   reg.counter("c").add(1);
   reg.gauge("g").set(2.0);
   reg.histogram("h").record(7);
-  reg.time_series("s", sim::SimTime::seconds(1), TimeSeries::Mode::kSum)
+  reg.time_series("s", sim::SimTime::seconds(1))
       .record(sim::SimTime::zero(), 1.0);
 
   ASSERT_NE(reg.find_counter("c"), nullptr);
@@ -65,7 +65,7 @@ TEST(Registry, MergeFoldsEveryInstrumentKind) {
   a.counter("n.count").add(10);
   a.gauge("n.gauge").set(1.0);
   a.histogram("n.hist").record(4);
-  a.time_series("n.series", sim::SimTime::seconds(1), TimeSeries::Mode::kSum)
+  a.time_series("n.series", sim::SimTime::seconds(1))
       .record(sim::SimTime::millis(100), 2.0);
 
   Registry b;
@@ -73,7 +73,7 @@ TEST(Registry, MergeFoldsEveryInstrumentKind) {
   b.counter("only_b.count").add(1);
   b.gauge("n.gauge").set(9.0);
   b.histogram("n.hist").record(16);
-  b.time_series("n.series", sim::SimTime::seconds(1), TimeSeries::Mode::kSum)
+  b.time_series("n.series", sim::SimTime::seconds(1))
       .record(sim::SimTime::millis(200), 3.0);
 
   a.merge(b);

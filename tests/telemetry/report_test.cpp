@@ -13,8 +13,7 @@ void fill_registry(Registry& reg) {
   reg.counter("net.drops").add(12);
   reg.gauge("pushback.sessions").set(2.0);
   reg.histogram("net.queue.depth").record(100);
-  reg.time_series("scenario.goodput", sim::SimTime::seconds(1),
-                  TimeSeries::Mode::kSum)
+  reg.time_series("scenario.goodput", sim::SimTime::seconds(1))
       .record(sim::SimTime::millis(500), 1000.0);
 }
 
@@ -65,10 +64,7 @@ TEST(RunReport, PerfIsLastKeyAndOptional) {
   ASSERT_NE(kernel_pos, std::string::npos);
   EXPECT_GT(kernel_pos, perf_pos);
 
-  ReportOptions no_perf;
-  no_perf.include_perf = false;
-  const std::string without =
-      render_run_report(make_manifest(), &reg, &perf, no_perf);
+  const std::string without = render_run_report(make_manifest(), &reg, nullptr);
   EXPECT_EQ(without.find("\"perf\":"), std::string::npos);
   EXPECT_EQ(without.find("sha256_kernel"), std::string::npos);
   // Truncating at `"perf":` and dropping the separator (",\n  ") leaves the
@@ -90,10 +86,8 @@ TEST(RunReport, DeterministicAcrossRenders) {
   Registry b;
   fill_registry(a);
   fill_registry(b);
-  ReportOptions no_perf;
-  no_perf.include_perf = false;
-  EXPECT_EQ(render_run_report(make_manifest(), &a, nullptr, no_perf),
-            render_run_report(make_manifest(), &b, nullptr, no_perf));
+  EXPECT_EQ(render_run_report(make_manifest(), &a, nullptr),
+            render_run_report(make_manifest(), &b, nullptr));
 }
 
 TEST(BenchRecord, SchemaCountersAndPerfTail) {
@@ -133,7 +127,7 @@ TEST(BenchRecord, ProfiledEventTypesAppearUnderPerf) {
 
 TEST(TimeseriesCsv, LongFormat) {
   Registry reg;
-  reg.time_series("a.series", sim::SimTime::seconds(2), TimeSeries::Mode::kSum)
+  reg.time_series("a.series", sim::SimTime::seconds(2))
       .record(sim::SimTime::seconds(3), 5.0);
   reg.counter("ignored.counter").add(1);
   const std::string csv = render_timeseries_csv(reg);

@@ -70,19 +70,6 @@ TEST(Tracer, FlightRingPartiallyFilled) {
   EXPECT_EQ(ids, (std::vector<std::uint64_t>{0, 1, 2}));
 }
 
-TEST(Tracer, FlightOnlyModeKeepsCountersButNoFullTrace) {
-  TracerOptions options;
-  options.keep_full = false;
-  options.flight_capacity = 2;
-  Tracer tracer(options);
-  for (std::uint64_t i = 0; i < 5; ++i) tracer.record(make_event(i));
-
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.recorded(), 5u);
-  EXPECT_EQ(tracer.verb_count(sim::TraceVerb::kEnqueue), 5u);
-  EXPECT_EQ(tracer.flight_size(), 2u);
-}
-
 TEST(Tracer, ZeroFlightCapacityDisablesTheRing) {
   TracerOptions options;
   options.flight_capacity = 0;
