@@ -71,17 +71,12 @@ class HbpDefense {
   const topo::AsMap& as_map() const { return as_map_; }
   Hsm* hsm(net::AsId as);
 
-  // Inter-AS propagation with gap bridging: delivers a request (or cancel)
-  // from AS `from` to AS `to`; if `to` does not deploy, the message is
-  // broadcast via routing options to the nearest deploying ASs upstream.
-  // `trace_cause` is the uid of the packet that triggered this hop of the
-  // wave (0 = unknown); it rides along for causal tracing only and never
-  // enters the MAC.
-  void propagate_request(net::AsId from, net::AsId to, sim::Address dst,
-                         std::size_t epoch, const SessionWindow& window,
-                         int extra_hops = 0, std::uint64_t trace_cause = 0);
-  void propagate_cancel(net::AsId from, net::AsId to, sim::Address dst,
-                        std::size_t epoch, int extra_hops = 0);
+  // Inter-AS propagation with gap bridging: sends `m` (a request or a
+  // cancel) from AS `m.from_as` to AS `m.to_as`; if `m.to_as` does not
+  // deploy, the message is broadcast via routing options to the nearest
+  // deploying ASs upstream, each gap AS adding one hop of latency.
+  template <typename Message>
+  void propagate(Message m, int extra_hops = 0);
 
   // Progressive report from a stalled transit AS back to the server.
   void report_to_server(net::AsId from, sim::Address dst, std::size_t epoch);
@@ -89,10 +84,12 @@ class HbpDefense {
   // A switch port (or router port) was closed on `host`.
   void on_capture(sim::NodeId host, sim::Address dst);
 
-  // Raw entry points with MAC verification (tests inject forged messages).
-  void deliver_request(const HoneypotRequest& m);
-  void deliver_cancel(const HoneypotCancel& m);
-  void deliver_report(const IntermediateReport& m);
+  // The one receive point: verifies the MAC under KeyStore::key_for,
+  // counts forgeries, then hands the message to its HSM or to the
+  // server's progressive state (tests inject forged messages here).
+  void deliver(const HoneypotRequest& m);
+  void deliver(const HoneypotCancel& m);
+  void deliver(const IntermediateReport& m);
 
   // --- statistics ---
   const std::vector<CaptureEvent>& captures() const { return captures_; }
@@ -101,7 +98,7 @@ class HbpDefense {
   std::uint64_t forged_rejected() const { return forged_rejected_; }
   std::uint64_t bridged_messages() const { return bridged_; }
   const ProgressiveManager& progressive(int server) const {
-    return *progressive_[static_cast<std::size_t>(server)];
+    return progressive_[static_cast<std::size_t>(server)];
   }
 
   // End-of-run snapshot: defense-wide counters ("core.defense.*") and
@@ -123,6 +120,12 @@ class HbpDefense {
   void on_window_end(int server, std::size_t epoch);
   void on_honeypot_hit(int server, const sim::Packet& p);
   void activate(int server);
+  // The one send point: signs `m` under KeyStore::key_for and sends it
+  // under its own kind after `hops` control-plane hops.
+  template <typename Message>
+  void post(Message m, int hops);
+  template <typename Message>
+  bool authentic(const Message& m);
   void schedule_direct_requests(int server);
   net::AsId home_as(int server) const;
   std::size_t next_honeypot_epoch(int server, std::size_t after) const;
@@ -135,9 +138,9 @@ class HbpDefense {
   HbpParams params_;
   KeyStore keys_;
 
-  std::map<net::AsId, std::unique_ptr<Hsm>> hsms_;
-  std::vector<ServerWindow> windows_;                    // per server
-  std::vector<std::unique_ptr<ProgressiveManager>> progressive_;  // per server
+  std::vector<std::unique_ptr<Hsm>> hsms_;     // by AsId; null if not deployed
+  std::vector<ServerWindow> windows_;          // per server
+  std::vector<ProgressiveManager> progressive_;  // per server
   // ASs sent a request for the current/upcoming window, per server/epoch.
   std::vector<std::map<std::size_t, std::set<net::AsId>>> requested_;
 

@@ -149,8 +149,11 @@ net::FilterAction Hsm::DivertFilter::on_packet(const sim::Packet& p,
   sim::Packet stamped = p;
   const auto it = hsm_.cross_by_port_.find({router_.id(), in_port});
   if (it != hsm_.cross_by_port_.end() && it->second->upstream) {
-    // Ingress from an upstream AS: stamp the edge id in the configured way.
-    const int edge_id = lie_edge_id_ >= 0 ? lie_edge_id_ : it->second->edge_id;
+    // Ingress from an upstream AS: stamp the edge id in the configured way
+    // (a compromised router stamps its lie instead).
+    const auto lie = hsm_.lies_.find(router_.id());
+    const int edge_id =
+        lie != hsm_.lies_.end() ? lie->second : it->second->edge_id;
     if (hsm_.defense().params().ingress_mode ==
         HbpParams::IngressMode::kMarking) {
       stamped.mark = edge_id;
@@ -177,7 +180,6 @@ Hsm::Hsm(HbpDefense& defense, const topo::AsInfo& info)
     : defense_(defense), info_(info) {
   for (const topo::CrossLink& cl : info_.cross_links) {
     cross_by_port_[{cl.router, cl.port}] = &cl;
-    cross_by_edge_id_[cl.edge_id] = &cl;
   }
 }
 
@@ -206,9 +208,6 @@ void Hsm::install_divert(sim::Address dst) {
       auto& r = static_cast<net::Router&>(defense_.network().node(cl.router));
       it = filters_.emplace(cl.router, std::make_unique<DivertFilter>(*this, r))
                .first;
-      if (const auto lie = lies_.find(cl.router); lie != lies_.end()) {
-        it->second->set_lie(lie->second);
-      }
     }
     it->second->add_dst(dst);
   }
@@ -233,10 +232,24 @@ void Hsm::receive_request(const HoneypotRequest& m) {
                   static_cast<std::int32_t>(m.epoch)});
   auto [it, created] = sessions_.try_emplace(m.dst);
   HsmSession& session = it->second;
-  session.epoch = m.epoch;
-  session.window = m.window;
   if (created) {
     install_divert(m.dst);
+  } else if (m.epoch < session.epoch) {
+    return;  // late request of a superseded epoch
+  } else if (m.epoch > session.epoch) {
+    // The previous epoch's cancel was lost or is still in flight: start a
+    // fresh session (the divert filter stays).
+    close_local_sessions(m.dst, session);
+    session = HsmSession{};
+  }
+  session.epoch = m.epoch;
+  session.window = m.window;
+}
+
+void Hsm::close_local_sessions(sim::Address dst, const HsmSession& session) {
+  for (const sim::NodeId r : session.local_sessions) {
+    const auto ag = agents_.find(r);
+    if (ag != agents_.end()) ag->second->close_session(dst);
   }
 }
 
@@ -247,7 +260,7 @@ void Hsm::receive_cancel(const HoneypotCancel& m) {
                   sim::kInvalidNode, 0, 0, info_.id,
                   static_cast<std::int32_t>(m.epoch)});
   const auto it = sessions_.find(m.dst);
-  if (it == sessions_.end()) return;
+  if (it == sessions_.end() || it->second.epoch != m.epoch) return;
   HsmSession session = std::move(it->second);
   sessions_.erase(it);
 
@@ -255,7 +268,8 @@ void Hsm::receive_cancel(const HoneypotCancel& m) {
 
   // Propagate the cancel along the request tree.
   for (const net::AsId up : session.propagated_upstream) {
-    defense_.propagate_cancel(info_.id, up, m.dst, m.epoch);
+    defense_.propagate(HoneypotCancel{
+        .dst = m.dst, .epoch = m.epoch, .from_as = info_.id, .to_as = up});
   }
 
   // Progressive scheme (Section 6): an AS where back-propagation stalled
@@ -278,10 +292,7 @@ void Hsm::receive_cancel(const HoneypotCancel& m) {
   // legitimate traffic); the window bound inside the agents guarantees no
   // action was taken on post-window observations even though the cancel
   // message arrives with some control-plane latency.
-  for (const sim::NodeId r : session.local_sessions) {
-    const auto ag = agents_.find(r);
-    if (ag != agents_.end()) ag->second->close_session(m.dst);
-  }
+  close_local_sessions(m.dst, session);
 }
 
 void Hsm::on_diverted(sim::NodeId edge_router, int in_port,
@@ -304,9 +315,10 @@ void Hsm::on_diverted(sim::NodeId edge_router, int in_port,
                         : p.tunnel_id;
   if (stamp >= 0) {
     // Ingress from an upstream AS identified by the stamped edge id.
-    const auto cl = cross_by_edge_id_.find(stamp);
-    if (cl != cross_by_edge_id_.end() && cl->second->upstream) {
-      propagate_upstream(p.dst, session, cl->second->neighbor_as, p.uid);
+    const auto edge = static_cast<std::size_t>(stamp);
+    if (edge < info_.cross_links.size() && info_.cross_links[edge].upstream) {
+      propagate_upstream(p.dst, session, info_.cross_links[edge].neighbor_as,
+                         p.uid);
     }
     return;
   }
@@ -337,8 +349,12 @@ void Hsm::propagate_upstream(sim::Address dst, HsmSession& session,
   sim::Simulator& simulator = defense_.simulator();
   simulator.emit({simulator.now(), sim::TraceVerb::kUpstream, sim::kInvalidNode,
                   cause_uid, cause_uid, info_.id, neighbor});
-  defense_.propagate_request(info_.id, neighbor, dst, session.epoch,
-                             session.window, 0, cause_uid);
+  defense_.propagate(HoneypotRequest{.dst = dst,
+                                     .epoch = session.epoch,
+                                     .window = session.window,
+                                     .from_as = info_.id,
+                                     .to_as = neighbor,
+                                     .trace_cause = cause_uid});
 }
 
 void Hsm::on_ingress_reached(sim::Address dst, sim::NodeId router, int port) {
@@ -376,9 +392,6 @@ void Hsm::send_local_request(sim::NodeId from_router, sim::NodeId to_router,
 
 void Hsm::compromise_edge_router(sim::NodeId router, int lie_edge_id) {
   lies_[router] = lie_edge_id;
-  if (const auto it = filters_.find(router); it != filters_.end()) {
-    it->second->set_lie(lie_edge_id);
-  }
 }
 
 }  // namespace hbp::core

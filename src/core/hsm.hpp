@@ -43,7 +43,6 @@ class HbpRouterAgent final : public net::ForwardTap {
   // dst is no longer a trustworthy attack signature.
   void open_session(sim::Address dst, const SessionWindow& window);
   void close_session(sim::Address dst);
-  bool has_session(sim::Address dst) const { return sessions_.contains(dst); }
 
   // From the tap (interior routers) or from divert reports (edge routers).
   void observe(sim::Address dst, int in_port);
@@ -91,6 +90,9 @@ class Hsm {
   const topo::AsInfo& info() const { return info_; }
 
   // --- inter-AS message handling (MAC already verified by the defense) ---
+  // Sessions are scoped by epoch: a request for a newer epoch replaces a
+  // stale session, one for an older epoch is dropped, and a cancel closes
+  // only the session of its own epoch.
   void receive_request(const HoneypotRequest& m);
   void receive_cancel(const HoneypotCancel& m);
 
@@ -132,13 +134,11 @@ class Hsm {
     void add_dst(sim::Address dst) { dsts_.insert(dst); }
     void remove_dst(sim::Address dst) { dsts_.erase(dst); }
     bool empty() const { return dsts_.empty(); }
-    void set_lie(int edge_id) { lie_edge_id_ = edge_id; }
 
    private:
     Hsm& hsm_;
     net::Router& router_;
     std::set<sim::Address> dsts_;
-    int lie_edge_id_ = -1;
   };
 
   struct HsmSession {
@@ -153,6 +153,7 @@ class Hsm {
 
   void install_divert(sim::Address dst);
   void remove_divert(sim::Address dst);
+  void close_local_sessions(sim::Address dst, const HsmSession& session);
   // `cause_uid` is the uid of the diverted packet that triggered this step
   // (0 when the trigger was an aggregate observation); causal tracing only.
   void propagate_upstream(sim::Address dst, HsmSession& session,
@@ -165,8 +166,8 @@ class Hsm {
   HbpDefense& defense_;
   const topo::AsInfo& info_;
   // (edge router, port) -> cross link, for stamping and ingress lookup.
+  // A stamp is looked up by index: an edge id indexes info_.cross_links.
   std::map<std::pair<sim::NodeId, int>, const topo::CrossLink*> cross_by_port_;
-  std::map<int, const topo::CrossLink*> cross_by_edge_id_;
   std::map<sim::Address, HsmSession> sessions_;
   std::map<sim::NodeId, std::unique_ptr<DivertFilter>> filters_;
   std::map<sim::NodeId, std::unique_ptr<HbpRouterAgent>> agents_;

@@ -45,4 +45,18 @@ util::Digest KeyStore::server_key(net::AsId a) const {
   return util::hmac_sha256(master_, "server;" + field("as", a));
 }
 
+util::Digest KeyStore::key_for(const HoneypotRequest& m) const {
+  return m.from_as == m.to_as || m.progressive_direct
+             ? server_key(m.to_as)
+             : pair_key(m.from_as, m.to_as);
+}
+
+util::Digest KeyStore::key_for(const HoneypotCancel& m) const {
+  return m.from_server ? server_key(m.to_as) : pair_key(m.from_as, m.to_as);
+}
+
+util::Digest KeyStore::key_for(const IntermediateReport& m) const {
+  return server_key(m.as);
+}
+
 }  // namespace hbp::core

@@ -13,9 +13,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <string_view>
 
+#include "honeypot/schedule.hpp"
 #include "net/node.hpp"
 #include "sim/packet.hpp"
 #include "sim/time.hpp"
@@ -23,26 +24,11 @@
 
 namespace hbp::core {
 
-enum class MessageType : std::uint8_t {
-  kHoneypotRequest,
-  kHoneypotCancel,
-  kIntermediateReport,
-};
+using honeypot::SessionWindow;
 
-// The honeypot observation window: traffic to the honeypot address is a
-// valid attack signature only inside [start, end].  Sessions may be set up
-// before the window opens (progressive direct requests arrive t_A + τ
-// early) and cancelled after it closes (control latency), so every
-// data-driven action — diversion, ingress identification, input debugging,
-// switch-port harvesting — is gated on this window.
-struct SessionWindow {
-  sim::SimTime start = sim::SimTime::zero();
-  sim::SimTime end = sim::SimTime::zero();
-
-  bool contains(sim::SimTime t) const { return t >= start && t <= end; }
-};
-
+// Each message carries its accounting kind (`kKind`) for the control plane.
 struct HoneypotRequest {
+  static constexpr std::string_view kKind = "honeypot_request";
   sim::Address dst = 0;          // the honeypot's address (attack signature)
   std::size_t epoch = 0;
   SessionWindow window;
@@ -58,6 +44,7 @@ struct HoneypotRequest {
 };
 
 struct HoneypotCancel {
+  static constexpr std::string_view kKind = "honeypot_cancel";
   sim::Address dst = 0;
   std::size_t epoch = 0;
   net::AsId from_as = net::kNoAs;
@@ -69,6 +56,7 @@ struct HoneypotCancel {
 // Progressive scheme: "the HSM of A sends its identity A and a time stamp
 // to S, which in turn calculates t_A, A's time distance in seconds from S."
 struct IntermediateReport {
+  static constexpr std::string_view kKind = "intermediate_report";
   net::AsId as = net::kNoAs;
   sim::Address dst = 0;          // which honeypot's session stalled
   std::size_t epoch = 0;
@@ -91,6 +79,14 @@ class KeyStore {
 
   // Key between an AS and the protected server pool (for reports/directs).
   util::Digest server_key(net::AsId a) const;
+
+  // The key policy, one rule per message type: the server's own messages
+  // (its activation request, where from == to; progressive direct
+  // requests; window-end cancels; intermediate reports) use the server key
+  // of the far AS, every HSM-to-HSM message the AS-pair key.
+  util::Digest key_for(const HoneypotRequest& m) const;
+  util::Digest key_for(const HoneypotCancel& m) const;
+  util::Digest key_for(const IntermediateReport& m) const;
 
   template <typename Message>
   void sign(Message& m, const util::Digest& key) const {

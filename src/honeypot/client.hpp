@@ -40,7 +40,6 @@ class RoamingClient {
   std::uint64_t migrations() const { return migrations_; }
   std::uint64_t renewals() const { return renewals_; }
   std::uint64_t packets_skipped() const { return skipped_; }
-  sim::SimTime clock_skew() const { return skew_; }
   int current_server() const { return current_server_; }
 
  private:

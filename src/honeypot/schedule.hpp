@@ -15,6 +15,19 @@
 
 namespace hbp::honeypot {
 
+// The honeypot observation window: traffic to the honeypot address is a
+// valid attack signature only inside [start, end].  Sessions may be set up
+// before the window opens (progressive direct requests arrive t_A + τ
+// early) and cancelled after it closes (control latency), so every
+// data-driven action — diversion, ingress identification, input debugging,
+// switch-port harvesting — is gated on this window.
+struct SessionWindow {
+  sim::SimTime start = sim::SimTime::zero();
+  sim::SimTime end = sim::SimTime::zero();
+
+  bool contains(sim::SimTime t) const { return t >= start && t <= end; }
+};
+
 class Schedule {
  public:
   virtual ~Schedule() = default;

@@ -19,8 +19,7 @@ ServerPool::ServerPool(sim::Simulator& simulator, net::Network& network,
   HBP_ASSERT(nodes_.size() == addrs_.size());
   HBP_ASSERT(static_cast<int>(nodes_.size()) == schedule_.server_count());
   // The honeypot window must be non-empty.
-  HBP_ASSERT(window_start_guard() + window_end_guard() <
-             schedule_.epoch_length());
+  HBP_ASSERT(honeypot_window(1).start < honeypot_window(1).end);
   connections_.resize(nodes_.size());
 }
 
@@ -76,9 +75,7 @@ bool ServerPool::in_honeypot_window(int server, sim::SimTime t) const {
   const std::size_t e = schedule_.epoch_of(t);
   if (schedule_.is_active(server, e)) return false;
   if (in_active_window(server, t)) return false;  // grace of adjacent epochs
-  const sim::SimTime lo = schedule_.epoch_start(e) + window_start_guard();
-  const sim::SimTime hi = schedule_.epoch_end(e) - window_end_guard();
-  return t >= lo && t <= hi;
+  return honeypot_window(e).contains(t);
 }
 
 void ServerPool::on_epoch(std::size_t epoch) {
@@ -87,37 +84,33 @@ void ServerPool::on_epoch(std::size_t epoch) {
     const bool active_before =
         epoch > 1 ? schedule_.is_active(s, epoch - 1) : active_now;
 
-    if (!active_now) {
-      // Schedule the honeypot observation window.
-      const sim::SimTime w_start =
-          schedule_.epoch_start(epoch) + window_start_guard();
-      const sim::SimTime w_end =
-          schedule_.epoch_end(epoch) - window_end_guard();
-      simulator_.at(
-          w_start,
-          [this, s, epoch] {
-            simulator_.emit({simulator_.now(), sim::TraceVerb::kWindowStart,
-                             nodes_[static_cast<std::size_t>(s)], 0, 0, s,
-                             static_cast<std::int32_t>(epoch)});
-            for (const auto& fn : window_start_) fn(s, epoch);
-          },
-          "honeypot.pool.window");
-      simulator_.at(
-          w_end,
-          [this, s, epoch] {
-            simulator_.emit({simulator_.now(), sim::TraceVerb::kWindowEnd,
-                             nodes_[static_cast<std::size_t>(s)], 0, 0, s,
-                             static_cast<std::int32_t>(epoch)});
-            for (const auto& fn : window_end_) fn(s, epoch);
-          },
-          "honeypot.pool.window");
-    }
+    if (active_now) continue;
 
-    if (active_before && !active_now) {
+    // Schedule the honeypot observation window.
+    const SessionWindow window = honeypot_window(epoch);
+    simulator_.at(
+        window.start,
+        [this, s, epoch] {
+          simulator_.emit({simulator_.now(), sim::TraceVerb::kWindowStart,
+                           nodes_[static_cast<std::size_t>(s)], 0, 0, s,
+                           static_cast<std::int32_t>(epoch)});
+          for (const auto& fn : window_start_) fn(s, epoch);
+        },
+        "honeypot.pool.window");
+    simulator_.at(
+        window.end,
+        [this, s, epoch] {
+          simulator_.emit({simulator_.now(), sim::TraceVerb::kWindowEnd,
+                           nodes_[static_cast<std::size_t>(s)], 0, 0, s,
+                           static_cast<std::int32_t>(epoch)});
+          for (const auto& fn : window_end_) fn(s, epoch);
+        },
+        "honeypot.pool.window");
+
+    if (active_before) {
       // Role change active -> honeypot: checkpoint connections once the
       // grace period of the previous epoch expires.
-      simulator_.at(schedule_.epoch_start(epoch) + window_start_guard(),
-                    [this, s] { checkpoint_server(s); },
+      simulator_.at(window.start, [this, s] { checkpoint_server(s); },
                     "honeypot.pool.checkpoint");
     }
   }

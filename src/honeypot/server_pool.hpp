@@ -57,9 +57,6 @@ class ServerPool {
   // TcpReceiver; during honeypot windows they are honeypot traffic like
   // everything else.  Call before start().
   void enable_tcp();
-  transport::TcpReceiver* tcp_receiver(int server) {
-    return tcp_.empty() ? nullptr : tcp_[static_cast<std::size_t>(server)].get();
-  }
 
   // --- defense / metrics hooks (multiple listeners allowed) ---
   void add_honeypot_window_listener(WindowFn on_start, WindowFn on_end);
@@ -81,12 +78,15 @@ class ServerPool {
   bool in_active_window(int server, sim::SimTime t) const;
   bool in_honeypot_window(int server, sim::SimTime t) const;
 
-  // Guard offsets of the honeypot observation window within an inactive
-  // epoch: [start + guard, end - guard].  Both guards are δ+γ so that no
-  // legitimate packet (bounded clock skew δ, path delay ~γ) can fall inside
-  // the window — inside it, traffic is attack traffic by construction.
-  sim::SimTime window_start_guard() const { return params_.delta + params_.gamma; }
-  sim::SimTime window_end_guard() const { return params_.delta + params_.gamma; }
+  // The honeypot observation window of an inactive epoch: the epoch
+  // shrunk by δ+γ at each end, so that no legitimate packet (bounded clock
+  // skew δ, path delay ~γ) can fall inside it — inside it, traffic is
+  // attack traffic by construction.
+  SessionWindow honeypot_window(std::size_t epoch) const {
+    const sim::SimTime guard = params_.delta + params_.gamma;
+    return {schedule_.epoch_start(epoch) + guard,
+            schedule_.epoch_end(epoch) - guard};
+  }
 
   // --- counters ---
   std::uint64_t honeypot_packets() const { return honeypot_packets_; }

@@ -15,9 +15,10 @@ sim::SimTime ControlPlane::sample_latency(int hops) {
   return sim::SimTime::seconds(base + jitter);
 }
 
-void ControlPlane::send(const std::string& kind, int hops,
-                        sim::Event deliver) {
-  ++sent_[kind];
+void ControlPlane::send(std::string_view kind, int hops, sim::Event deliver) {
+  auto it = sent_.find(kind);
+  if (it == sent_.end()) it = sent_.emplace(kind, 0).first;
+  ++it->second;
   ++total_;
   if (params_.loss_probability > 0.0 && rng_.bernoulli(params_.loss_probability)) {
     ++lost_;
@@ -27,7 +28,7 @@ void ControlPlane::send(const std::string& kind, int hops,
                    "net.control.deliver");
 }
 
-std::uint64_t ControlPlane::messages_sent(const std::string& kind) const {
+std::uint64_t ControlPlane::messages_sent(std::string_view kind) const {
   const auto it = sent_.find(kind);
   return it == sent_.end() ? 0 : it->second;
 }

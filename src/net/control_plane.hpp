@@ -13,8 +13,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -42,12 +44,12 @@ class ControlPlane {
   // probability.  `kind` is an accounting label (e.g. "honeypot_request").
   // Owning closure: temporaries are fine, and large signed messages may
   // legitimately spill the event's inline buffer (this is not a packet path).
-  void send(const std::string& kind, int hops, sim::Event deliver);
+  void send(std::string_view kind, int hops, sim::Event deliver);
 
   // Latency draw for a given hop count (used by analysis-facing tests).
   sim::SimTime sample_latency(int hops);
 
-  std::uint64_t messages_sent(const std::string& kind) const;
+  std::uint64_t messages_sent(std::string_view kind) const;
   std::uint64_t total_messages() const { return total_; }
   std::uint64_t messages_lost() const { return lost_; }
 
@@ -61,7 +63,9 @@ class ControlPlane {
   sim::Simulator& simulator_;
   Params params_;
   util::Rng rng_;
-  std::map<std::string, std::uint64_t> sent_;
+  // Transparent comparator: a kind is looked up without building a string,
+  // which is allocated once, on first use.
+  std::map<std::string, std::uint64_t, std::less<>> sent_;
   std::uint64_t total_ = 0;
   std::uint64_t lost_ = 0;
 };

@@ -64,7 +64,6 @@ class Network {
   }
 
   sim::NodeId node_of(sim::Address a) const;
-  std::size_t address_count() const { return addr_to_node_.size(); }
 
   // Out-port of `from` toward address `dst`, or -1 if unreachable.
   int route_port(sim::NodeId from, sim::Address dst) const;

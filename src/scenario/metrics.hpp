@@ -67,7 +67,6 @@ class CaptureRecorder {
   // Wire as an HbpDefense capture listener.
   void on_capture(const core::CaptureEvent& e);
 
-  std::size_t attackers_total() const { return attackers_.size(); }
   std::size_t attackers_captured() const { return captured_attackers_; }
   std::size_t false_captures() const { return false_captures_; }
   double capture_fraction() const;

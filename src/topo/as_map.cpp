@@ -7,13 +7,6 @@
 
 namespace hbp::topo {
 
-const CrossLink* AsInfo::cross_link_to(net::AsId neighbor) const {
-  for (const CrossLink& cl : cross_links) {
-    if (cl.neighbor_as == neighbor) return &cl;
-  }
-  return nullptr;
-}
-
 net::AsId AsMap::create(sim::NodeId head, net::AsId downstream) {
   AsInfo info;
   info.id = static_cast<net::AsId>(as_.size());
@@ -61,6 +54,8 @@ void AsMap::finalize(const net::Network& network) {
                 as.upstream.end()) {
           as.upstream.push_back(cl.neighbor_as);
         }
+        // A stamped edge id is resolved by indexing cross_links.
+        HBP_ASSERT(cl.edge_id == static_cast<int>(as.cross_links.size()));
         as.cross_links.push_back(cl);
       }
     }

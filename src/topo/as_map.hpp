@@ -25,7 +25,8 @@ struct CrossLink {
   int port = -1;                           // its port crossing the boundary
   net::AsId neighbor_as = net::kNoAs;
   bool upstream = false;  // neighbor AS is farther from the servers
-  int edge_id = -1;       // dense per-AS id for packet marking
+  int edge_id = -1;       // dense per-AS id for packet marking; indexes
+                          // AsInfo::cross_links
 };
 
 struct AsInfo {
@@ -37,11 +38,7 @@ struct AsInfo {
   std::vector<sim::NodeId> routers;
   std::vector<sim::NodeId> switches;
   std::vector<sim::NodeId> hosts;
-  std::vector<CrossLink> cross_links;
-
-  // The cross link entering this AS from the given upstream neighbor, or
-  // nullptr if none.
-  const CrossLink* cross_link_to(net::AsId neighbor) const;
+  std::vector<CrossLink> cross_links;  // indexed by edge id
 };
 
 class AsMap {

@@ -17,7 +17,6 @@ class BloomFilter {
   void insert(std::uint64_t digest);
   bool maybe_contains(std::uint64_t digest) const;
 
-  std::size_t bit_count() const { return bits_.size(); }
   std::size_t byte_size() const { return (bits_.size() + 7) / 8; }
   std::uint64_t inserted() const { return inserted_; }
 

@@ -163,7 +163,7 @@ TEST_F(HbpStringFixture, ForgedRequestRejected) {
   forged.from_as = 1;
   forged.to_as = 2;
   // mac left zero — wrong.
-  defense->deliver_request(forged);
+  defense->deliver(forged);
   EXPECT_EQ(defense->forged_rejected(), 1u);
   EXPECT_FALSE(defense->hsm(2)->session_active(topo.server_addr));
 }
@@ -178,7 +178,7 @@ TEST_F(HbpStringFixture, ForgedCancelCannotTearDownSessions) {
   forged.epoch = 99;
   forged.from_as = 1;
   forged.to_as = topo.server_as;
-  defense->deliver_cancel(forged);
+  defense->deliver(forged);
   EXPECT_GE(defense->forged_rejected(), 1u);
 }
 

@@ -1,6 +1,7 @@
 // HSM session lifecycle driven through the authenticated message entry
-// points: correctly MAC'd requests open sessions, cancels close them, and
-// every forged or mis-keyed message is rejected and counted.
+// point: correctly MAC'd requests open sessions, cancels close them (within
+// their epoch), and every forged or mis-keyed message is rejected and
+// counted.
 #include "core/hsm.hpp"
 
 #include <gtest/gtest.h>
@@ -77,7 +78,7 @@ TEST_F(HsmFixture, AuthenticRequestOpensSession) {
   const net::AsId to = 2;
   HoneypotRequest m = make_request(/*from=*/1, to);
   keys.sign(m, keys.pair_key(1, to));
-  defense->deliver_request(m);
+  defense->deliver(m);
 
   Hsm* hsm = defense->hsm(to);
   ASSERT_NE(hsm, nullptr);
@@ -86,12 +87,26 @@ TEST_F(HsmFixture, AuthenticRequestOpensSession) {
   EXPECT_EQ(defense->forged_rejected(), 0u);
 }
 
+TEST_F(HsmFixture, MessageToUnknownAsIsDropped) {
+  // to_as arrives inside the message: out-of-range ids reach no HSM.
+  for (const net::AsId to : {net::kNoAs, net::AsId{1000}}) {
+    HoneypotRequest m = make_request(/*from=*/1, to);
+    keys.sign(m, keys.pair_key(1, to));
+    defense->deliver(m);
+    HoneypotCancel c = make_cancel(/*from=*/1, to);
+    keys.sign(c, keys.pair_key(1, to));
+    defense->deliver(c);
+  }
+  EXPECT_EQ(defense->forged_rejected(), 0u);
+  EXPECT_EQ(control->total_messages(), 0u);
+}
+
 TEST_F(HsmFixture, GarbageMacRejected) {
   const net::AsId to = 2;
   HoneypotRequest m = make_request(/*from=*/1, to);
   keys.sign(m, keys.pair_key(1, to));
   m.mac[0] ^= 0xff;
-  defense->deliver_request(m);
+  defense->deliver(m);
 
   EXPECT_EQ(defense->forged_rejected(), 1u);
   EXPECT_FALSE(defense->hsm(to)->session_active(topo.server_addr));
@@ -102,7 +117,7 @@ TEST_F(HsmFixture, TamperedFieldInvalidatesMac) {
   HoneypotRequest m = make_request(/*from=*/1, to);
   keys.sign(m, keys.pair_key(1, to));
   m.window.end = sim::SimTime::seconds(10'000);  // stretched after signing
-  defense->deliver_request(m);
+  defense->deliver(m);
 
   EXPECT_EQ(defense->forged_rejected(), 1u);
   EXPECT_FALSE(defense->hsm(to)->session_active(topo.server_addr));
@@ -112,7 +127,7 @@ TEST_F(HsmFixture, WrongPairKeyRejected) {
   const net::AsId to = 2;
   HoneypotRequest m = make_request(/*from=*/1, to);
   keys.sign(m, keys.pair_key(2, 3));  // valid MAC under the wrong pair
-  defense->deliver_request(m);
+  defense->deliver(m);
 
   EXPECT_EQ(defense->forged_rejected(), 1u);
   EXPECT_FALSE(defense->hsm(to)->session_active(topo.server_addr));
@@ -125,7 +140,7 @@ TEST_F(HsmFixture, ProgressiveDirectRequestUsesServerKey) {
   HoneypotRequest m = make_request(topo.server_as, to);
   m.progressive_direct = true;
   keys.sign(m, keys.server_key(to));
-  defense->deliver_request(m);
+  defense->deliver(m);
 
   EXPECT_EQ(defense->forged_rejected(), 0u);
   EXPECT_TRUE(defense->hsm(to)->session_active(topo.server_addr));
@@ -134,7 +149,7 @@ TEST_F(HsmFixture, ProgressiveDirectRequestUsesServerKey) {
   HoneypotRequest bad = make_request(topo.server_as, 2);
   bad.progressive_direct = true;
   keys.sign(bad, keys.pair_key(topo.server_as, 2));
-  defense->deliver_request(bad);
+  defense->deliver(bad);
   EXPECT_EQ(defense->forged_rejected(), 1u);
   EXPECT_FALSE(defense->hsm(2)->session_active(topo.server_addr));
 }
@@ -143,12 +158,12 @@ TEST_F(HsmFixture, AuthenticCancelClosesSession) {
   const net::AsId to = 2;
   HoneypotRequest m = make_request(/*from=*/1, to);
   keys.sign(m, keys.pair_key(1, to));
-  defense->deliver_request(m);
+  defense->deliver(m);
   ASSERT_TRUE(defense->hsm(to)->session_active(topo.server_addr));
 
   HoneypotCancel c = make_cancel(/*from=*/1, to);
   keys.sign(c, keys.pair_key(1, to));
-  defense->deliver_cancel(c);
+  defense->deliver(c);
 
   EXPECT_FALSE(defense->hsm(to)->session_active(topo.server_addr));
   EXPECT_EQ(defense->hsm(to)->session_count(), 0u);
@@ -159,12 +174,12 @@ TEST_F(HsmFixture, ForgedCancelLeavesSessionOpen) {
   const net::AsId to = 2;
   HoneypotRequest m = make_request(/*from=*/1, to);
   keys.sign(m, keys.pair_key(1, to));
-  defense->deliver_request(m);
+  defense->deliver(m);
 
   HoneypotCancel c = make_cancel(/*from=*/1, to);
   keys.sign(c, keys.pair_key(1, to));
   c.mac[5] ^= 0x01;
-  defense->deliver_cancel(c);
+  defense->deliver(c);
 
   EXPECT_EQ(defense->forged_rejected(), 1u);
   EXPECT_TRUE(defense->hsm(to)->session_active(topo.server_addr));
@@ -174,15 +189,61 @@ TEST_F(HsmFixture, ServerCancelUsesServerKey) {
   const net::AsId to = 2;
   HoneypotRequest m = make_request(/*from=*/1, to);
   keys.sign(m, keys.pair_key(1, to));
-  defense->deliver_request(m);
+  defense->deliver(m);
 
   HoneypotCancel c = make_cancel(topo.server_as, to);
   c.from_server = true;
   keys.sign(c, keys.server_key(to));
-  defense->deliver_cancel(c);
+  defense->deliver(c);
 
   EXPECT_FALSE(defense->hsm(to)->session_active(topo.server_addr));
   EXPECT_EQ(defense->forged_rejected(), 0u);
+}
+
+TEST_F(HsmFixture, StaleCancelLeavesNewerSessionOpen) {
+  // Back-to-back honeypot epochs: the next epoch's direct request can
+  // overtake the previous epoch's cancel, which must not tear it down.
+  const net::AsId to = 2;
+  HoneypotRequest m = make_request(/*from=*/1, to);
+  keys.sign(m, keys.pair_key(1, to));
+  defense->deliver(m);
+
+  HoneypotRequest direct = make_request(topo.server_as, to);
+  direct.epoch = 2;
+  direct.progressive_direct = true;
+  keys.sign(direct, keys.server_key(to));
+  defense->deliver(direct);
+
+  HoneypotCancel c = make_cancel(/*from=*/1, to);  // epoch 1
+  keys.sign(c, keys.pair_key(1, to));
+  defense->deliver(c);
+
+  EXPECT_TRUE(defense->hsm(to)->session_active(topo.server_addr));
+  EXPECT_EQ(defense->forged_rejected(), 0u);
+}
+
+TEST_F(HsmFixture, NewerEpochRequestPropagatesUpstreamAgain) {
+  // The epoch-1 cancel was lost: the epoch-2 request must start a fresh
+  // session whose wave goes upstream again, not reuse the stale one.
+  const net::AsId to = 2;
+  Hsm* hsm = defense->hsm(to);
+  const topo::CrossLink* ingress = nullptr;
+  for (const topo::CrossLink& cl : hsm->info().cross_links) {
+    if (cl.upstream) ingress = &cl;
+  }
+  ASSERT_NE(ingress, nullptr);
+  sim::Packet diverted;
+  diverted.dst = topo.server_addr;
+  diverted.mark = ingress->edge_id;  // stamped by the ingress edge router
+
+  for (const std::size_t epoch : {1u, 2u}) {
+    HoneypotRequest m = make_request(/*from=*/1, to);
+    m.epoch = epoch;
+    keys.sign(m, keys.pair_key(1, to));
+    defense->deliver(m);
+    hsm->on_diverted(ingress->router, ingress->port, diverted);
+    EXPECT_EQ(control->messages_sent("honeypot_request"), epoch);
+  }
 }
 
 TEST_F(HsmFixture, ReportAuthentication) {
@@ -192,11 +253,11 @@ TEST_F(HsmFixture, ReportAuthentication) {
   r.epoch = 1;
   r.stamped_at = sim::SimTime::zero();  // "now": the clock has not advanced
   keys.sign(r, keys.server_key(r.as));
-  defense->deliver_report(r);
+  defense->deliver(r);
   EXPECT_EQ(defense->forged_rejected(), 0u);
 
   r.epoch = 2;  // tampered after signing: stale MAC
-  defense->deliver_report(r);
+  defense->deliver(r);
   EXPECT_EQ(defense->forged_rejected(), 1u);
 }
 

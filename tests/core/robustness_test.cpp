@@ -68,7 +68,7 @@ TEST_P(MessageFuzz, RandomMessagesNeverCrashOrFrame) {
           m.to_as = static_cast<net::AsId>(fuzz.range(0, as_count - 1));
           m.progressive_direct = fuzz.bernoulli(0.5);
           for (auto& b : m.mac) b = static_cast<std::uint8_t>(fuzz.below(256));
-          defense.deliver_request(m);
+          defense.deliver(m);
           break;
         }
         case 1: {
@@ -78,7 +78,7 @@ TEST_P(MessageFuzz, RandomMessagesNeverCrashOrFrame) {
           c.from_as = static_cast<net::AsId>(fuzz.range(-1, as_count));
           c.to_as = static_cast<net::AsId>(fuzz.range(0, as_count - 1));
           c.from_server = fuzz.bernoulli(0.5);
-          defense.deliver_cancel(c);
+          defense.deliver(c);
           break;
         }
         case 2: {
@@ -87,7 +87,7 @@ TEST_P(MessageFuzz, RandomMessagesNeverCrashOrFrame) {
           r.dst = static_cast<sim::Address>(fuzz.below(10));
           r.epoch = fuzz.below(100);
           r.stamped_at = sim::SimTime::seconds(fuzz.uniform(0, 60));
-          defense.deliver_report(r);
+          defense.deliver(r);
           break;
         }
       }

@@ -39,6 +39,23 @@ TEST_P(WindowSweep, PredicatesPartitionTime) {
   params.gamma = sim::SimTime::millis(25);
   ServerPool pool(simulator, network, schedule, nodes, addrs, store, params);
 
+  // The honeypot window of every inactive epoch is the epoch shrunk by δ+γ
+  // at each end, and the window predicate holds exactly on its bounds.
+  const sim::SimTime guard = params.delta + params.gamma;
+  const sim::SimTime tick = sim::SimTime::micros(1);
+  for (std::size_t epoch = 1; epoch <= 20; ++epoch) {
+    const SessionWindow window = pool.honeypot_window(epoch);
+    ASSERT_EQ(window.start, schedule.epoch_start(epoch) + guard);
+    ASSERT_EQ(window.end, schedule.epoch_end(epoch) - guard);
+    for (int s = 0; s < n; ++s) {
+      if (schedule.is_active(s, epoch)) continue;
+      ASSERT_TRUE(pool.in_honeypot_window(s, window.start + tick));
+      ASSERT_TRUE(pool.in_honeypot_window(s, window.end));
+      ASSERT_FALSE(pool.in_honeypot_window(s, window.start - tick));
+      ASSERT_FALSE(pool.in_honeypot_window(s, window.end + tick));
+    }
+  }
+
   // Probe a dense grid of instants across 20 epochs.
   for (double t = 0.2; t < 20 * epoch_s; t += epoch_s / 7.3) {
     const auto at = sim::SimTime::seconds(t);

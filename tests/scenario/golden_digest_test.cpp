@@ -14,6 +14,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -130,8 +131,7 @@ TEST(GoldenDigest, StringProgressiveOnOff) {
                string_entries(run_string_experiment(config, 11)));
 }
 
-// E4 (Section 8.3): the full tree scenario with the HBP defense.
-TEST(GoldenDigest, TreeHbpSmall) {
+TreeExperimentConfig tree_hbp_small_config() {
   TreeExperimentConfig config;
   config.scheme = Scheme::kHbp;
   config.tree.leaf_count = 60;
@@ -142,7 +142,17 @@ TEST(GoldenDigest, TreeHbpSmall) {
   config.attack_start = 5.0;
   config.attack_end = 25.0;
   config.epoch_seconds = 5.0;
-  const TreeResult r = run_tree_experiment(config, 7);
+  return config;
+}
+
+std::string telemetry_counter(const TreeResult& r, std::string_view name) {
+  const telemetry::Counter* counter = r.telemetry->find_counter(name);
+  return counter == nullptr ? "absent" : dec64(counter->value());
+}
+
+// E4 (Section 8.3): the full tree scenario with the HBP defense.
+TEST(GoldenDigest, TreeHbpSmall) {
+  const TreeResult r = run_tree_experiment(tree_hbp_small_config(), 7);
   check_golden("tree_hbp_small.txt",
                {
                    {"trace_digest", hex64(r.trace_digest)},
@@ -151,6 +161,29 @@ TEST(GoldenDigest, TreeHbpSmall) {
                    {"false_captures", dec64(r.false_captures)},
                    {"mean_client_throughput", real(r.mean_client_throughput)},
                    {"control_messages", dec64(r.control_messages)},
+               });
+}
+
+// A2 (Section 5.3): half the ASs deploy, so requests and cancels bridge
+// deployment gaps; tunnel stamps identify ingress, and stalled transit ASs
+// send progressive reports.
+TEST(GoldenDigest, TreeHbpPartialDeployment) {
+  TreeExperimentConfig config = tree_hbp_small_config();
+  config.hbp_deploy_fraction = 0.5;
+  config.hbp.ingress_mode = core::HbpParams::IngressMode::kTunneling;
+  const TreeResult r = run_tree_experiment(config, 3);
+  ASSERT_NE(r.telemetry, nullptr);
+  check_golden("tree_hbp_partial_deployment.txt",
+               {
+                   {"trace_digest", hex64(r.trace_digest)},
+                   {"events_executed", dec64(r.events_executed)},
+                   {"captured", dec64(r.captured)},
+                   {"false_captures", dec64(r.false_captures)},
+                   {"control_messages", dec64(r.control_messages)},
+                   {"bridged_messages",
+                    telemetry_counter(r, "core.defense.bridged_messages")},
+                   {"intermediate_reports",
+                    telemetry_counter(r, "net.control.sent.intermediate_report")},
                });
 }
 
