@@ -1,8 +1,11 @@
 // Ablation A3: the Section 5.3 design issues.
-//  (a) ingress identification by packet marking vs GRE-style tunneling;
 //  (b) the activation threshold against benign background probes (false
 //      positives: "honeypots receive a large amount of benign traffic");
-//  (c) Level-k max-min weighting for Pushback (Section 2, Mitigation).
+//  (c) Level-k max-min weighting for Pushback (Section 2, Mitigation);
+//  (d) Pushback propagation depth.
+// Ingress identification needs no ablation, hence no (a): the divert filter
+// reports one edge-id stamp, and packet marking or a GRE-style tunnel would
+// carry that same id.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
@@ -17,34 +20,6 @@ int main(int argc, char** argv) {
   flags.finish();
 
   util::ThreadPool pool;
-
-  // (a) marking vs tunneling: identical captures expected — the two
-  // mechanisms carry the same bit of information.
-  util::print_banner("(a) ingress identification: packet marking vs tunneling");
-  {
-    util::Table table({"Mode", "Captured", "Throughput", "Capture delay"});
-    for (const auto mode : {core::HbpParams::IngressMode::kMarking,
-                            core::HbpParams::IngressMode::kTunneling}) {
-      config.scheme = scenario::Scheme::kHbp;
-      config.hbp.ingress_mode = mode;
-      const auto summary = scenario::run_replicated(config, common.seeds,
-                                                    common.base_seed, &pool);
-      report.add(summary);
-      report.add_counter(
-          std::string("capture_fraction.") +
-              (mode == core::HbpParams::IngressMode::kMarking ? "marking"
-                                                              : "tunneling"),
-          summary.capture_fraction.mean());
-      table.add_row(
-          {mode == core::HbpParams::IngressMode::kMarking ? "marking"
-                                                          : "tunneling",
-           util::Table::percent(summary.capture_fraction.mean()),
-           util::Table::percent(summary.throughput.mean()),
-           util::Table::num(summary.capture_delay.mean(), 1) + " s"});
-    }
-    table.print();
-    config.hbp.ingress_mode = core::HbpParams::IngressMode::kMarking;
-  }
 
   // (b) activation threshold vs benign probes: on the string topology, a
   // benign prober pokes the server pool while no attack runs; count

@@ -1,6 +1,8 @@
-// Micro-benchmarks (google-benchmark) of the substrate hot paths: event
-// queue, SHA-256 / HMAC / hash-chain generation, router forwarding, and the
-// max-min allocator.  These bound the simulator's throughput (events/s).
+// Micro-benchmarks (google-benchmark) of the substrate hot paths: the event
+// queue (push/pop with and without packet payloads, cancellation churn, a
+// hold-model steady state), SHA-256 / HMAC / hash-chain generation, router
+// forwarding, and the max-min allocator.  These bound the simulator's
+// throughput (events/s).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -15,6 +17,7 @@
 #include "net/router.hpp"
 #include "pushback/maxmin.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/packet.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/report.hpp"
 #include "util/rng.hpp"
@@ -37,6 +40,85 @@ void BM_EventQueuePushPop(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(16384);
+
+// The packet path's event shape: each event owns a moved-in sim::Packet.
+// This is the allocation-sensitive case — the closure must stay inside the
+// event's inline buffer and the queue slot must recycle.
+void BM_PushPopPacket(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  hbp::util::Rng rng(2);
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    hbp::sim::EventQueue q;
+    for (std::size_t i = 0; i < n; ++i) {
+      hbp::sim::Packet p;
+      p.uid = i;
+      p.size_bytes = 1000;
+      q.push(hbp::sim::SimTime(static_cast<std::int64_t>(rng.below(1'000'000))),
+             [&sink, p = std::move(p)] { sink += p.uid; },
+             "bench.packet");
+    }
+    while (!q.empty()) q.pop().fn();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_PushPopPacket)
+    ->Arg(1024)
+    ->Arg(16384)
+    ->ArgName("n");
+
+// Retransmit-timer shape: every scheduled event is cancelled before firing
+// (TCP RTO, honeypot window guards).  Exercises slot recycling plus stale-
+// record compaction in the ordering structure.
+void BM_PushCancel(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  hbp::util::Rng rng(3);
+  hbp::sim::EventQueue q;
+  std::vector<hbp::sim::EventId> ids;
+  ids.reserve(n);
+  for (auto _ : state) {
+    ids.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      ids.push_back(q.push(
+          hbp::sim::SimTime(static_cast<std::int64_t>(rng.below(1'000'000))),
+          [] {}));
+    }
+    for (const auto id : ids) benchmark::DoNotOptimize(q.cancel(id));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_PushCancel)
+    ->Arg(4096)
+    ->ArgName("n");
+
+// Classic hold model: constant population, each pop schedules one push a
+// random increment ahead.  This is the scheduler's steady-state regime in a
+// long simulation run.
+void BM_Hold(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  hbp::util::Rng rng(4);
+  hbp::sim::EventQueue q;
+  for (std::size_t i = 0; i < n; ++i) {
+    q.push(hbp::sim::SimTime(static_cast<std::int64_t>(rng.below(1'000'000))),
+           [] {});
+  }
+  for (auto _ : state) {
+    for (int i = 0; i < 1000; ++i) {
+      const auto ev = q.pop();
+      q.push(ev.at + hbp::sim::SimTime(
+                         static_cast<std::int64_t>(1 + rng.below(2'000'000))),
+             [] {});
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
+}
+BENCHMARK(BM_Hold)
+    ->Arg(1024)
+    ->Arg(16384)
+    ->ArgName("n");
 
 void BM_SimulatorEventChain(benchmark::State& state) {
   for (auto _ : state) {

@@ -9,6 +9,15 @@
 
 namespace hbp::core {
 
+namespace {
+
+// Progressive scheme: after a window ends, the server waits this long for
+// the round's intermediate reports before scheduling the next epoch's
+// direct requests.
+constexpr sim::SimTime kReportGrace = sim::SimTime::seconds(1.5);
+
+}  // namespace
+
 HbpDefense::HbpDefense(sim::Simulator& simulator, net::Network& network,
                        net::ControlPlane& control, honeypot::ServerPool& pool,
                        const topo::AsMap& as_map, const HbpParams& params)
@@ -147,7 +156,7 @@ void HbpDefense::on_window_end(int server, std::size_t epoch) {
   if (params_.progressive) {
     // Give the intermediate reports time to arrive, then close the round
     // and schedule the next epoch's direct requests.
-    simulator_.after(params_.report_grace,
+    simulator_.after(kReportGrace,
                      [this, server] { schedule_direct_requests(server); },
                      "core.defense.round");
   }

@@ -27,9 +27,6 @@ class Registry;
 namespace hbp::core {
 
 struct HbpParams {
-  enum class IngressMode { kMarking, kTunneling };
-  IngressMode ingress_mode = IngressMode::kMarking;
-
   // Honeypot packets within a window before a request is sent (false-
   // positive tolerance, Section 5.3).
   std::uint64_t activation_threshold = 1;
@@ -37,7 +34,6 @@ struct HbpParams {
   bool progressive = true;
   int rho = 5;                         // rule-2 threshold (Section 6)
   sim::SimTime tau_estimate = sim::SimTime::millis(500);  // direct-send lead
-  sim::SimTime report_grace = sim::SimTime::seconds(1.5); // reports settle
 
   DeploymentPolicy deployment;
   util::Digest master_secret{};  // key-store master

@@ -146,30 +146,24 @@ net::FilterAction Hsm::DivertFilter::on_packet(const sim::Packet& p,
     return net::FilterAction::kPass;
   }
 
-  sim::Packet stamped = p;
+  // Ingress from an upstream AS: stamp its edge id (a compromised router
+  // stamps its lie instead).  Traffic from inside the AS carries no stamp.
+  int stamp = sim::kNoMark;
   const auto it = hsm_.cross_by_port_.find({router_.id(), in_port});
   if (it != hsm_.cross_by_port_.end() && it->second->upstream) {
-    // Ingress from an upstream AS: stamp the edge id in the configured way
-    // (a compromised router stamps its lie instead).
     const auto lie = hsm_.lies_.find(router_.id());
-    const int edge_id =
-        lie != hsm_.lies_.end() ? lie->second : it->second->edge_id;
-    if (hsm_.defense().params().ingress_mode ==
-        HbpParams::IngressMode::kMarking) {
-      stamped.mark = edge_id;
-    } else {
-      stamped.tunnel_id = edge_id;
-    }
+    stamp = lie != hsm_.lies_.end() ? lie->second : it->second->edge_id;
   }
   // Divert to the HSM: one intra-AS control hop of latency, then consumed
   // ("only the honeypot traffic, which will be discarded anyway").
   const sim::NodeId reporter = router_.id();
   sim::Simulator& simulator = hsm_.defense().simulator();
   simulator.emit({simulator.now(), sim::TraceVerb::kDivert, reporter, p.uid, 0,
-                  in_port, std::max(stamped.mark, stamped.tunnel_id)});
+                  in_port, stamp});
   hsm_.defense().control().send(
-      "divert_report", 1, [hsm = &hsm_, reporter, in_port, stamped] {
-        hsm->on_diverted(reporter, in_port, stamped);
+      "divert_report", 1,
+      [hsm = &hsm_, reporter, in_port, dst = p.dst, uid = p.uid, stamp] {
+        hsm->on_diverted(reporter, in_port, dst, uid, stamp);
       });
   return net::FilterAction::kConsume;
 }
@@ -295,9 +289,9 @@ void Hsm::receive_cancel(const HoneypotCancel& m) {
   close_local_sessions(m.dst, session);
 }
 
-void Hsm::on_diverted(sim::NodeId edge_router, int in_port,
-                      const sim::Packet& p) {
-  const auto it = sessions_.find(p.dst);
+void Hsm::on_diverted(sim::NodeId edge_router, int in_port, sim::Address dst,
+                      std::uint64_t uid, int stamp) {
+  const auto it = sessions_.find(dst);
   if (it == sessions_.end()) return;  // stale report after cancel
   HsmSession& session = it->second;
   ++session.packets;
@@ -306,26 +300,22 @@ void Hsm::on_diverted(sim::NodeId edge_router, int in_port,
   // Feed edge-router observations into an active intra-AS session there
   // (the edge filter consumes packets before the router tap would see them).
   if (session.local_sessions.contains(edge_router)) {
-    agent(edge_router).observe(p.dst, in_port);
+    agent(edge_router).observe(dst, in_port);
   }
 
-  const int stamp = defense_.params().ingress_mode ==
-                            HbpParams::IngressMode::kMarking
-                        ? p.mark
-                        : p.tunnel_id;
   if (stamp >= 0) {
     // Ingress from an upstream AS identified by the stamped edge id.
     const auto edge = static_cast<std::size_t>(stamp);
     if (edge < info_.cross_links.size() && info_.cross_links[edge].upstream) {
-      propagate_upstream(p.dst, session, info_.cross_links[edge].neighbor_as,
-                         p.uid);
+      propagate_upstream(dst, session, info_.cross_links[edge].neighbor_as,
+                         uid);
     }
     return;
   }
 
   // No stamp: the packet originated inside this AS — start (or continue)
   // intra-AS back-propagation at the reporting router.
-  start_intra_as(p.dst, session, edge_router, in_port, p.uid);
+  start_intra_as(dst, session, edge_router, in_port, uid);
 }
 
 void Hsm::start_intra_as(sim::Address dst, HsmSession& session,

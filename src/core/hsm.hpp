@@ -5,12 +5,14 @@
 // edge router into itself (the iBGP next-hop announcement of the paper,
 // modelled as a divert filter: the traffic would be discarded at the
 // honeypot anyway, so the edge router reports the packet to the HSM and
-// consumes it).  Ingress identification uses either GRE-style tunnel ids or
-// packet marking in the (otherwise unused) ID field — lg(n) bits for n edge
-// routers.  Packets arriving on intra-AS ports carry no stamp: they
-// originate inside the AS and trigger intra-AS back-propagation, a
-// hop-by-hop input-debugging walk from the reporting (egress) router to the
-// access routers, ending with MAC identification and switch-port shutoff.
+// consumes it).  Ingress identification is one stamp, the edge id of the
+// upstream cross link the packet arrived on — lg(n) bits for n edge
+// routers, carried the same way by a GRE-style tunnel id or by marking the
+// (otherwise unused) IP ID field.  Packets arriving on intra-AS ports carry
+// no stamp: they originate inside the AS and trigger intra-AS
+// back-propagation, a hop-by-hop input-debugging walk from the reporting
+// (egress) router to the access routers, ending with MAC identification and
+// switch-port shutoff.
 #pragma once
 
 #include <cstdint>
@@ -97,8 +99,11 @@ class Hsm {
   void receive_cancel(const HoneypotCancel& m);
 
   // --- data-plane callbacks ---
-  // A diverted packet report from an edge router (already stamped).
-  void on_diverted(sim::NodeId edge_router, int in_port, const sim::Packet& p);
+  // A diverted packet report from an edge router: the packet's dst and uid
+  // plus the edge id its ingress stamped (kNoMark for traffic that entered
+  // from inside this AS).
+  void on_diverted(sim::NodeId edge_router, int in_port, sim::Address dst,
+                   std::uint64_t uid, int stamp);
   // Intra-AS traceback reached a port crossing into another AS.
   void on_ingress_reached(sim::Address dst, sim::NodeId router, int port);
 

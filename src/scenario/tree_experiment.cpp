@@ -16,6 +16,13 @@
 
 namespace hbp::scenario {
 
+namespace {
+
+// Unused leaf hosts that send benign probes when benign_probe_rate > 0.
+constexpr int kBenignProbers = 5;
+
+}  // namespace
+
 std::string to_string(Scheme s) {
   switch (s) {
     case Scheme::kNoDefense: return "No Defense";
@@ -38,7 +45,7 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
                                std::uint64_t seed) {
   const int roles =
       config.n_clients + config.n_attackers + config.tcp_downloads +
-      (config.benign_probe_rate > 0.0 ? config.benign_probers : 0);
+      (config.benign_probe_rate > 0.0 ? kBenignProbers : 0);
   HBP_ASSERT_MSG(roles <= static_cast<int>(config.tree.leaf_count),
                  "clients, attackers, downloads and probers exceed the leaves");
 
@@ -329,7 +336,7 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
   std::vector<std::unique_ptr<traffic::ProbeSource>> probes;
   if (config.benign_probe_rate > 0.0) {
     int placed = 0;
-    for (std::size_t leaf = 0; leaf < leaves && placed < config.benign_probers;
+    for (std::size_t leaf = 0; leaf < leaves && placed < kBenignProbers;
          ++leaf) {
       if (used[leaf]) continue;
       auto& host = static_cast<net::Host&>(network.node(tree.leaf_hosts[leaf]));

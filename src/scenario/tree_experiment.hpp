@@ -61,10 +61,9 @@ struct TreeExperimentConfig : ObserveOptions {
   int packet_size = 1000;
 
   // Benign background probes (Section 5.3 false-positive study): when > 0,
-  // `benign_probers` unused leaf hosts send Poisson probes at this rate
-  // (probes/s each) to random servers for the whole run.
+  // five unused leaf hosts send Poisson probes at this rate (probes/s each)
+  // to random servers for the whole run.
   double benign_probe_rate = 0.0;
-  int benign_probers = 5;
 
   // TCP downloads (Section 3 damage model): bulk TCP transfers from
   // bystander download servers behind the bottleneck to unused leaf hosts.

@@ -30,9 +30,8 @@ enum class PacketType : std::uint8_t {
   kTcpAck,
 };
 
-// Marking field written by AS edge routers during honeypot sessions so the
-// HSM can identify the ingress point (Section 5.1; uses the IP ID field of
-// traffic that will be discarded anyway, lg n bits for n edge routers).
+// "No mark": the unset value of the marking fields below and of the HBP
+// ingress stamp an AS edge router reports with a diverted packet.
 inline constexpr std::int32_t kNoMark = -1;
 
 struct Packet {
@@ -42,8 +41,7 @@ struct Packet {
   Address dst = 0;
   std::int32_t size_bytes = 1000;
   std::uint8_t ttl = 64;
-  std::int32_t mark = kNoMark;     // edge-router id stamp (marking mode)
-  std::int32_t tunnel_id = kNoMark;  // GRE-like tunnel ingress id (tunnel mode)
+  std::int32_t mark = kNoMark;     // path mark (StackPi)
   std::uint32_t flow = 0;          // flow identifier for per-flow accounting
   std::int64_t seq = 0;            // TCP-lite sequence number (byte offset)
   std::int64_t ack = 0;            // TCP-lite cumulative acknowledgement

@@ -1,7 +1,11 @@
 #include "trace/export.hpp"
 
+#include <array>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <istream>
+#include <optional>
 #include <ostream>
 
 #include "net/network.hpp"
@@ -22,6 +26,46 @@ const char* node_name(const net::Network* network, sim::NodeId node) {
     return "";
   }
   return network->node(node).name().c_str();
+}
+
+template <typename Int>
+bool parse_int(std::string_view text, Int& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+std::optional<sim::TraceVerb> verb_from_name(std::string_view name) {
+  for (std::size_t v = 0; v < sim::kTraceVerbCount; ++v) {
+    const auto verb = static_cast<sim::TraceVerb>(v);
+    if (name == sim::verb_name(verb)) return verb;
+  }
+  return std::nullopt;
+}
+
+// Splits one data row into its eight fields and parses them.
+bool parse_row(std::string_view line, CsvRow& row) {
+  std::array<std::string_view, 8> f;
+  for (std::size_t i = 0; i + 1 < f.size(); ++i) {
+    const std::size_t comma = line.find(',');
+    if (comma == std::string_view::npos) return false;
+    f[i] = line.substr(0, comma);
+    line.remove_prefix(comma + 1);
+  }
+  f.back() = line;
+
+  std::int64_t t_ns = 0;
+  const auto verb = verb_from_name(f[1]);
+  sim::TraceEvent& e = row.event;
+  if (!parse_int(f[0], t_ns) || !verb || !parse_int(f[2], e.node) ||
+      !parse_int(f[4], e.id) || !parse_int(f[5], e.cause) ||
+      !parse_int(f[6], e.a) || !parse_int(f[7], e.b)) {
+    return false;
+  }
+  e.t = sim::SimTime(t_ns);
+  e.verb = *verb;
+  row.node_name = f[3];
+  return true;
 }
 
 }  // namespace
@@ -70,7 +114,7 @@ void write_chrome_json(const Tracer& tracer, std::ostream& out) {
 
 void write_csv(const Tracer& tracer, std::ostream& out) {
   const net::Network* network = tracer.network();
-  out << "t_ns,verb,node,node_name,id,cause,a,b\n";
+  out << kCsvHeader << '\n';
   char buf[256];
   tracer.for_each([&](const sim::TraceEvent& e) {
     std::snprintf(buf, sizeof(buf), "%lld,%s,%d,%s,%llu,%llu,%d,%d\n",
@@ -80,6 +124,25 @@ void write_csv(const Tracer& tracer, std::ostream& out) {
                   static_cast<unsigned long long>(e.cause), e.a, e.b);
     out << buf;
   });
+}
+
+bool read_csv(std::istream& in, std::vector<CsvRow>& rows,
+              std::string& error) {
+  std::string line;
+  if (!std::getline(in, line) || line != kCsvHeader) {
+    error = "not a trace CSV (header is '" + line + "')";
+    return false;
+  }
+  for (std::size_t number = 2; std::getline(in, line); ++number) {
+    CsvRow row;
+    if (!parse_row(line, row)) {
+      error = "line " + std::to_string(number) + " is not a trace row: '" +
+              line + "'";
+      return false;
+    }
+    rows.push_back(std::move(row));
+  }
+  return true;
 }
 
 bool write_trace_file(const Tracer& tracer, const std::string& path) {

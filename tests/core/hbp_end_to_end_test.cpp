@@ -133,15 +133,6 @@ TEST_F(HbpStringFixture, InnocentClientNeverCaptured) {
   EXPECT_EQ(sw.closed_port_count(), 1u);
 }
 
-TEST_F(HbpStringFixture, TunnelingModeAlsoCaptures) {
-  HbpParams params;
-  params.ingress_mode = HbpParams::IngressMode::kTunneling;
-  build(5, false, params);
-  attack();
-  simulator.run_until(sim::SimTime::seconds(120));
-  EXPECT_EQ(defense->captures().size(), 1u);
-}
-
 TEST_F(HbpStringFixture, ActivationThresholdSuppressesSparseTraffic) {
   HbpParams params;
   params.activation_threshold = 1000;  // effectively unreachable

@@ -232,16 +232,15 @@ TEST_F(HsmFixture, NewerEpochRequestPropagatesUpstreamAgain) {
     if (cl.upstream) ingress = &cl;
   }
   ASSERT_NE(ingress, nullptr);
-  sim::Packet diverted;
-  diverted.dst = topo.server_addr;
-  diverted.mark = ingress->edge_id;  // stamped by the ingress edge router
 
   for (const std::size_t epoch : {1u, 2u}) {
     HoneypotRequest m = make_request(/*from=*/1, to);
     m.epoch = epoch;
     keys.sign(m, keys.pair_key(1, to));
     defense->deliver(m);
-    hsm->on_diverted(ingress->router, ingress->port, diverted);
+    // A report stamped with the ingress edge router's edge id.
+    hsm->on_diverted(ingress->router, ingress->port, topo.server_addr,
+                     /*uid=*/0, ingress->edge_id);
     EXPECT_EQ(control->messages_sent("honeypot_request"), epoch);
   }
 }

@@ -165,12 +165,11 @@ TEST(GoldenDigest, TreeHbpSmall) {
 }
 
 // A2 (Section 5.3): half the ASs deploy, so requests and cancels bridge
-// deployment gaps; tunnel stamps identify ingress, and stalled transit ASs
-// send progressive reports.
+// deployment gaps; edge-id stamps identify ingress, and stalled transit
+// ASs send progressive reports.
 TEST(GoldenDigest, TreeHbpPartialDeployment) {
   TreeExperimentConfig config = tree_hbp_small_config();
   config.hbp_deploy_fraction = 0.5;
-  config.hbp.ingress_mode = core::HbpParams::IngressMode::kTunneling;
   const TreeResult r = run_tree_experiment(config, 3);
   ASSERT_NE(r.telemetry, nullptr);
   check_golden("tree_hbp_partial_deployment.txt",

@@ -256,7 +256,7 @@ TEST(TreeExperiment, RolesBeyondTheLeafCountAbort) {
   config.tcp_downloads = 71;
   EXPECT_DEATH(run_tree_experiment(config, 1), "exceed the leaves");
   config.tcp_downloads = 66;
-  config.benign_probe_rate = 1.0;  // adds benign_probers = 5
+  config.benign_probe_rate = 1.0;  // adds five probers
   EXPECT_DEATH(run_tree_experiment(config, 1), "exceed the leaves");
 }
 

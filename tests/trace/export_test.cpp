@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/packet.hpp"
 #include "sim/trace_event.hpp"
@@ -79,6 +80,54 @@ TEST(TraceExport, CsvShape) {
   EXPECT_NE(csv.find("1500,send,0,,42,0,3,1\n"), std::string::npos);
   EXPECT_NE(csv.find("2000000,honeypot_request,-1,,42,42,1,2\n"),
             std::string::npos);
+}
+
+TEST(TraceExport, CsvRoundTrip) {
+  Tracer tracer;
+  record_two_events(tracer);
+  std::stringstream csv;
+  write_csv(tracer, csv);
+
+  std::vector<CsvRow> rows;
+  std::string error;
+  ASSERT_TRUE(read_csv(csv, rows, error)) << error;
+  ASSERT_EQ(rows.size(), 2u);
+  std::size_t i = 0;
+  tracer.for_each([&](const sim::TraceEvent& e) {
+    const sim::TraceEvent& back = rows[i].event;
+    EXPECT_EQ(back.t, e.t);
+    EXPECT_EQ(back.verb, e.verb);
+    EXPECT_EQ(back.node, e.node);
+    EXPECT_EQ(back.id, e.id);
+    EXPECT_EQ(back.cause, e.cause);
+    EXPECT_EQ(back.a, e.a);
+    EXPECT_EQ(back.b, e.b);
+    EXPECT_EQ(rows[i].node_name, "");  // no Network attached
+    ++i;
+  });
+  EXPECT_EQ(rows[1].event.node, sim::kInvalidNode);
+
+  // Node names come back as written, including one on a real node.
+  std::istringstream named(std::string(kCsvHeader) +
+                           "\n7,capture,5,h5,0,0,12,-1\n");
+  rows.clear();
+  ASSERT_TRUE(read_csv(named, rows, error)) << error;
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].node_name, "h5");
+  EXPECT_EQ(rows[0].event.verb, sim::TraceVerb::kCapture);
+  EXPECT_EQ(rows[0].event.t.nanos(), 7);
+
+  std::istringstream wrong_header("t_ns,verb,node\n1500,send,0\n");
+  rows.clear();
+  EXPECT_FALSE(read_csv(wrong_header, rows, error));
+  EXPECT_NE(error.find("not a trace CSV"), std::string::npos);
+  EXPECT_TRUE(rows.empty());
+
+  std::istringstream bad_verb(std::string(kCsvHeader) +
+                              "\n1500,teleport,0,,42,0,3,1\n");
+  EXPECT_FALSE(read_csv(bad_verb, rows, error));
+  std::istringstream short_row(std::string(kCsvHeader) + "\n1500,send,0\n");
+  EXPECT_FALSE(read_csv(short_row, rows, error));
 }
 
 TEST(TraceExport, WriteTraceFileDispatchesOnExtension) {
