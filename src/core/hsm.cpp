@@ -36,7 +36,7 @@ void HbpRouterAgent::close_session(sim::Address dst) {
 
 void HbpRouterAgent::on_forward(const sim::Packet& p, int in_port, int out_port) {
   (void)out_port;
-  if (sessions_.contains(p.dst)) observe(p.dst, in_port);
+  observe(p.dst, in_port);
 }
 
 void HbpRouterAgent::harvest(sim::Address dst, int switch_port) {
@@ -129,7 +129,13 @@ void HbpRouterAgent::observe(sim::Address dst, int in_port) {
 // ---------------------------------------------------------------- divert filter
 
 Hsm::DivertFilter::DivertFilter(Hsm& hsm, net::Router& router)
-    : hsm_(hsm), router_(router) {
+    : hsm_(hsm), router_(router), stamps_(router.port_count(), sim::kNoMark) {
+  const auto lie = hsm_.lies_.find(router_.id());
+  for (const topo::CrossLink& cl : hsm_.info_.cross_links) {
+    if (cl.router != router_.id() || !cl.upstream) continue;
+    stamps_[static_cast<std::size_t>(cl.port)] =
+        lie != hsm_.lies_.end() ? lie->second : cl.edge_id;
+  }
   router_.add_filter(this);
 }
 
@@ -137,23 +143,17 @@ Hsm::DivertFilter::~DivertFilter() { router_.remove_filter(this); }
 
 net::FilterAction Hsm::DivertFilter::on_packet(const sim::Packet& p,
                                                int in_port) {
-  if (!dsts_.contains(p.dst)) return net::FilterAction::kPass;
   // Past the honeypot window the server may be active again: let traffic
-  // through (the cancel that removes this filter is still in flight).
+  // through (the cancel that closes this session is still in flight).
   const auto session = hsm_.sessions_.find(p.dst);
   if (session == hsm_.sessions_.end() ||
       !session->second.window.contains(hsm_.defense().simulator().now())) {
     return net::FilterAction::kPass;
   }
 
-  // Ingress from an upstream AS: stamp its edge id (a compromised router
-  // stamps its lie instead).  Traffic from inside the AS carries no stamp.
-  int stamp = sim::kNoMark;
-  const auto it = hsm_.cross_by_port_.find({router_.id(), in_port});
-  if (it != hsm_.cross_by_port_.end() && it->second->upstream) {
-    const auto lie = hsm_.lies_.find(router_.id());
-    stamp = lie != hsm_.lies_.end() ? lie->second : it->second->edge_id;
-  }
+  // Ingress from an upstream AS carries its edge id; traffic from inside
+  // the AS carries no stamp.
+  const int stamp = stamps_[static_cast<std::size_t>(in_port)];
   // Divert to the HSM: one intra-AS control hop of latency, then consumed
   // ("only the honeypot traffic, which will be discarded anyway").
   const sim::NodeId reporter = router_.id();
@@ -171,11 +171,7 @@ net::FilterAction Hsm::DivertFilter::on_packet(const sim::Packet& p,
 // ------------------------------------------------------------------------- hsm
 
 Hsm::Hsm(HbpDefense& defense, const topo::AsInfo& info)
-    : defense_(defense), info_(info) {
-  for (const topo::CrossLink& cl : info_.cross_links) {
-    cross_by_port_[{cl.router, cl.port}] = &cl;
-  }
-}
+    : defense_(defense), info_(info) {}
 
 Hsm::~Hsm() = default;
 
@@ -195,29 +191,6 @@ HbpRouterAgent& Hsm::agent(sim::NodeId router) {
   return *it->second;
 }
 
-void Hsm::install_divert(sim::Address dst) {
-  for (const topo::CrossLink& cl : info_.cross_links) {
-    auto it = filters_.find(cl.router);
-    if (it == filters_.end()) {
-      auto& r = static_cast<net::Router&>(defense_.network().node(cl.router));
-      it = filters_.emplace(cl.router, std::make_unique<DivertFilter>(*this, r))
-               .first;
-    }
-    it->second->add_dst(dst);
-  }
-}
-
-void Hsm::remove_divert(sim::Address dst) {
-  for (auto it = filters_.begin(); it != filters_.end();) {
-    it->second->remove_dst(dst);
-    if (it->second->empty()) {
-      it = filters_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 void Hsm::receive_request(const HoneypotRequest& m) {
   ++requests_received_;
   sim::Simulator& simulator = defense_.simulator();
@@ -227,7 +200,14 @@ void Hsm::receive_request(const HoneypotRequest& m) {
   auto [it, created] = sessions_.try_emplace(m.dst);
   HsmSession& session = it->second;
   if (created) {
-    install_divert(m.dst);
+    // The first session diverts at every edge router.
+    if (sessions_.size() == 1) {
+      for (const topo::CrossLink& cl : info_.cross_links) {
+        if (filters_.contains(cl.router)) continue;
+        auto& r = static_cast<net::Router&>(defense_.network().node(cl.router));
+        filters_.emplace(cl.router, std::make_unique<DivertFilter>(*this, r));
+      }
+    }
   } else if (m.epoch < session.epoch) {
     return;  // late request of a superseded epoch
   } else if (m.epoch > session.epoch) {
@@ -257,8 +237,7 @@ void Hsm::receive_cancel(const HoneypotCancel& m) {
   if (it == sessions_.end() || it->second.epoch != m.epoch) return;
   HsmSession session = std::move(it->second);
   sessions_.erase(it);
-
-  remove_divert(m.dst);
+  if (sessions_.empty()) filters_.clear();
 
   // Propagate the cancel along the request tree.
   for (const net::AsId up : session.propagated_upstream) {
@@ -273,7 +252,7 @@ void Hsm::receive_cancel(const HoneypotCancel& m) {
   // cut anyone off yet ("the HSM of a non-transit AS retains the honeypot
   // session until intra-AS back-propagation is performed" — we realise the
   // retention through a direct re-activation next epoch).
-  if (defense_.params().progressive && !session.any_upstream_request) {
+  if (defense_.params().progressive && session.propagated_upstream.empty()) {
     const bool stalled =
         info_.transit ? true : session.captures == 0;
     if (stalled) {
@@ -294,7 +273,6 @@ void Hsm::on_diverted(sim::NodeId edge_router, int in_port, sim::Address dst,
   const auto it = sessions_.find(dst);
   if (it == sessions_.end()) return;  // stale report after cancel
   HsmSession& session = it->second;
-  ++session.packets;
   ++diverted_;
 
   // Feed edge-router observations into an active intra-AS session there
@@ -335,7 +313,6 @@ void Hsm::propagate_upstream(sim::Address dst, HsmSession& session,
                              net::AsId neighbor, std::uint64_t cause_uid) {
   if (session.propagated_upstream.contains(neighbor)) return;
   session.propagated_upstream.insert(neighbor);
-  session.any_upstream_request = true;
   sim::Simulator& simulator = defense_.simulator();
   simulator.emit({simulator.now(), sim::TraceVerb::kUpstream, sim::kInvalidNode,
                   cause_uid, cause_uid, info_.id, neighbor});
@@ -350,12 +327,15 @@ void Hsm::propagate_upstream(sim::Address dst, HsmSession& session,
 void Hsm::on_ingress_reached(sim::Address dst, sim::NodeId router, int port) {
   const auto it = sessions_.find(dst);
   if (it == sessions_.end()) return;
-  const auto cl = cross_by_port_.find({router, port});
-  if (cl == cross_by_port_.end() || !cl->second->upstream) return;
-  sim::Simulator& simulator = defense_.simulator();
-  simulator.emit({simulator.now(), sim::TraceVerb::kIngressReached, router,
-                  0, 0, port, cl->second->neighbor_as});
-  propagate_upstream(dst, it->second, cl->second->neighbor_as);
+  for (const topo::CrossLink& cl : info_.cross_links) {
+    if (cl.router != router || cl.port != port) continue;
+    if (!cl.upstream) return;
+    sim::Simulator& simulator = defense_.simulator();
+    simulator.emit({simulator.now(), sim::TraceVerb::kIngressReached, router,
+                    0, 0, port, cl.neighbor_as});
+    propagate_upstream(dst, it->second, cl.neighbor_as);
+    return;
+  }
 }
 
 void Hsm::on_local_capture(sim::Address dst, sim::NodeId host) {
@@ -381,6 +361,8 @@ void Hsm::send_local_request(sim::NodeId from_router, sim::NodeId to_router,
 }
 
 void Hsm::compromise_edge_router(sim::NodeId router, int lie_edge_id) {
+  HBP_ASSERT_MSG(filters_.empty(),
+                 "compromise an edge router before its divert filter exists");
   lies_[router] = lie_edge_id;
 }
 

@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "core/messages.hpp"
 #include "net/router.hpp"
@@ -122,13 +123,15 @@ class Hsm {
   std::uint64_t cancels_received() const { return cancels_received_; }
 
   // Test hook: make one edge router stamp a fixed wrong edge id
-  // (compromised-router false-positive analysis, Section 5.1/5.3).
+  // (compromised-router false-positive analysis, Section 5.1/5.3).  Call it
+  // before the first session opens: a divert filter reads its stamps once.
   void compromise_edge_router(sim::NodeId router, int lie_edge_id);
 
  private:
   friend class HbpRouterAgent;
 
-  // Divert filter installed on one edge router; handles every active dst.
+  // Divert filter installed on one edge router while the HSM has any
+  // session; diverts traffic to every session's dst.
   class DivertFilter final : public net::PacketFilter {
    public:
     DivertFilter(Hsm& hsm, net::Router& router);
@@ -136,28 +139,22 @@ class Hsm {
 
     net::FilterAction on_packet(const sim::Packet& p, int in_port) override;
 
-    void add_dst(sim::Address dst) { dsts_.insert(dst); }
-    void remove_dst(sim::Address dst) { dsts_.erase(dst); }
-    bool empty() const { return dsts_.empty(); }
-
    private:
     Hsm& hsm_;
     net::Router& router_;
-    std::set<sim::Address> dsts_;
+    // Ingress stamp per input port: the upstream cross link's edge id (or
+    // a compromised router's lie); kNoMark on every other port.
+    std::vector<int> stamps_;
   };
 
   struct HsmSession {
     std::size_t epoch = 0;
     SessionWindow window;
     std::set<net::AsId> propagated_upstream;
-    bool any_upstream_request = false;
     std::set<sim::NodeId> local_sessions;  // routers tracing intra-AS
-    std::uint64_t packets = 0;
     std::uint64_t captures = 0;  // attack hosts cut off under this session
   };
 
-  void install_divert(sim::Address dst);
-  void remove_divert(sim::Address dst);
   void close_local_sessions(sim::Address dst, const HsmSession& session);
   // `cause_uid` is the uid of the diverted packet that triggered this step
   // (0 when the trigger was an aggregate observation); causal tracing only.
@@ -170,9 +167,6 @@ class Hsm {
 
   HbpDefense& defense_;
   const topo::AsInfo& info_;
-  // (edge router, port) -> cross link, for stamping and ingress lookup.
-  // A stamp is looked up by index: an edge id indexes info_.cross_links.
-  std::map<std::pair<sim::NodeId, int>, const topo::CrossLink*> cross_by_port_;
   std::map<sim::Address, HsmSession> sessions_;
   std::map<sim::NodeId, std::unique_ptr<DivertFilter>> filters_;
   std::map<sim::NodeId, std::unique_ptr<HbpRouterAgent>> agents_;

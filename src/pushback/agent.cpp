@@ -9,8 +9,7 @@
 namespace hbp::pushback {
 
 PushbackAgent::PushbackAgent(PushbackSystem& system, net::Router& router)
-    : system_(system), router_(router) {
-  ports_.resize(router.port_count());
+    : system_(system), router_(router), queue_drop_bytes_(router.port_count()) {
   router_.add_filter(this);
   router_.add_tap(this);
   // The queues keep non-owning refs to these thunks; reserve so push_back
@@ -40,11 +39,35 @@ AggregateKey PushbackAgent::key_of(const sim::Packet& p) const {
   return p.dst >> system_.params().aggregate_prefix_shift;
 }
 
+PushbackAgent::Traffic& PushbackAgent::traffic(AggregateKey agg) {
+  auto [it, created] = window_.try_emplace(agg);
+  if (created) {
+    it->second.in_bytes.resize(queue_drop_bytes_.size());
+    it->second.out_bytes.resize(queue_drop_bytes_.size());
+  }
+  return it->second;
+}
+
+double PushbackAgent::port_weight(std::size_t port) const {
+  return port < weights_.size() ? std::max(1e-9, weights_[port]) : 1.0;
+}
+
+PushbackAgent::Session& PushbackAgent::set_limit(AggregateKey agg,
+                                                 double limit_bps) {
+  auto [it, created] = sessions_.try_emplace(
+      agg, TokenBucket(limit_bps, system_.params().bucket_burst_bytes,
+                       system_.simulator().now()));
+  Session& session = it->second;
+  session.limit_bps = limit_bps;
+  if (!created) session.bucket.set_rate(limit_bps);
+  return session;
+}
+
 net::FilterAction PushbackAgent::on_packet(const sim::Packet& p, int in_port) {
   const AggregateKey agg = key_of(p);
   const auto it = sessions_.find(agg);
   if (it == sessions_.end()) return net::FilterAction::kPass;
-  if (it->second.bucket->allow(system_.simulator().now(), p.size_bytes)) {
+  if (it->second.bucket.allow(system_.simulator().now(), p.size_bytes)) {
     return net::FilterAction::kPass;
   }
   ++limited_drops_;
@@ -53,33 +76,35 @@ net::FilterAction PushbackAgent::on_packet(const sim::Packet& p, int in_port) {
                   p.uid, static_cast<std::uint64_t>(agg), in_port, -1});
   // Limited bytes still count as demand for the upstream max-min split and
   // as congestion pressure for the calm detector.
-  limited_bytes_[agg] += static_cast<std::uint64_t>(p.size_bytes);
-  bytes_by_agg_inport_[{agg, in_port}] +=
-      static_cast<std::uint64_t>(p.size_bytes);
+  const auto bytes = static_cast<std::uint64_t>(p.size_bytes);
+  Traffic& t = traffic(agg);
+  t.limited_bytes += bytes;
+  t.in_bytes[static_cast<std::size_t>(in_port)] += bytes;
   return net::FilterAction::kDrop;
 }
 
 void PushbackAgent::on_forward(const sim::Packet& p, int in_port, int out_port) {
-  auto& port = ports_[static_cast<std::size_t>(out_port)];
-  port.arrived_bytes += static_cast<std::uint64_t>(p.size_bytes);
-  const AggregateKey agg = key_of(p);
-  bytes_by_agg_outport_[{agg, out_port}] +=
-      static_cast<std::uint64_t>(p.size_bytes);
-  bytes_by_agg_inport_[{agg, in_port}] +=
-      static_cast<std::uint64_t>(p.size_bytes);
+  const auto bytes = static_cast<std::uint64_t>(p.size_bytes);
+  Traffic& t = traffic(key_of(p));
+  t.out_bytes[static_cast<std::size_t>(out_port)] += bytes;
+  t.in_bytes[static_cast<std::size_t>(in_port)] += bytes;
 }
 
 void PushbackAgent::detect_congestion() {
   const double interval_s = system_.params().interval.to_seconds();
-  std::vector<bool> congested_port(ports_.size(), false);
-  for (std::size_t p = 0; p < ports_.size(); ++p) {
-    const PortWindow& win = ports_[p];
-    if (win.arrived_bytes == 0) continue;
-    const double offered = static_cast<double>(win.arrived_bytes);
+  const std::size_t ports = queue_drop_bytes_.size();
+  std::vector<std::uint64_t> offered_bytes(ports, 0);
+  for (const auto& [agg, t] : window_) {
+    for (std::size_t p = 0; p < ports; ++p) offered_bytes[p] += t.out_bytes[p];
+  }
+  std::vector<bool> congested_port(ports, false);
+  for (std::size_t p = 0; p < ports; ++p) {
+    if (offered_bytes[p] == 0) continue;
+    const double offered = static_cast<double>(offered_bytes[p]);
     const auto& link = system_.network().link(router_.id(), static_cast<int>(p));
     const double capacity = link.capacity_bps();
     const double drop_fraction =
-        static_cast<double>(win.dropped_bytes) / offered;
+        static_cast<double>(queue_drop_bytes_[p]) / offered;
     const double offered_bps = offered * 8.0 / interval_s;
 
     const bool congested =
@@ -96,10 +121,10 @@ void PushbackAgent::detect_congestion() {
     // Identify the responsible aggregates: the largest destination prefixes
     // through this port, until removing them would clear the excess.
     std::vector<std::pair<double, AggregateKey>> heavy;
-    for (const auto& [key, bytes] : bytes_by_agg_outport_) {
-      if (key.second != static_cast<int>(p)) continue;
-      heavy.emplace_back(static_cast<double>(bytes) * 8.0 / interval_s,
-                         key.first);
+    for (const auto& [agg, t] : window_) {
+      if (t.out_bytes[p] == 0) continue;
+      heavy.emplace_back(static_cast<double>(t.out_bytes[p]) * 8.0 / interval_s,
+                         agg);
     }
     std::sort(heavy.rbegin(), heavy.rend());
 
@@ -123,21 +148,11 @@ void PushbackAgent::detect_congestion() {
 
     for (std::size_t i = 0; i < picked.size(); ++i) {
       const AggregateKey agg = picked[i].second;
-      const double limit =
-          std::max(limits[i], system_.params().min_limit_bps);
-      auto [it, created] = sessions_.try_emplace(agg);
-      Session& session = it->second;
+      Session& session =
+          set_limit(agg, std::max(limits[i], system_.params().min_limit_bps));
       session.self_originated = true;
       session.calm_windows = 0;
-      session.limit_bps = limit;
       session.depth = 0;
-      if (created) {
-        session.bucket = std::make_unique<TokenBucket>(
-            limit, system_.params().bucket_burst_bytes,
-            system_.simulator().now());
-      } else {
-        session.bucket->set_rate(limit);
-      }
     }
   }
 
@@ -147,18 +162,17 @@ void PushbackAgent::detect_congestion() {
   // what keeps the queue quiet and the control must persist).
   for (auto& [agg, session] : sessions_) {
     if (!session.self_originated) continue;
-    const auto it = limited_bytes_.find(agg);
+    const auto it = window_.find(agg);
     const double limited_bps =
-        it == limited_bytes_.end()
+        it == window_.end()
             ? 0.0
-            : static_cast<double>(it->second) * 8.0 / interval_s;
+            : static_cast<double>(it->second.limited_bytes) * 8.0 / interval_s;
     bool congested =
         limited_bps > system_.params().min_limit_bps ||
         session.reported_demand_bps > session.limit_bps * 1.05;
-    if (!congested) {
-      for (std::size_t p = 0; p < ports_.size(); ++p) {
-        if (congested_port[p] &&
-            bytes_by_agg_outport_.contains({agg, static_cast<int>(p)})) {
+    if (!congested && it != window_.end()) {
+      for (std::size_t p = 0; p < ports; ++p) {
+        if (congested_port[p] && it->second.out_bytes[p] != 0) {
           congested = true;
           break;
         }
@@ -175,21 +189,24 @@ void PushbackAgent::detect_congestion() {
 void PushbackAgent::propagate(AggregateKey agg, Session& session) {
   if (session.depth >= system_.params().max_depth) return;
 
+  const auto it = window_.find(agg);
+  if (it == window_.end()) return;
+
   // Demands per contributing input port (router neighbors only).
   std::vector<int> in_ports;
   std::vector<double> demands;
   std::vector<double> weights;
   const double interval_s = system_.params().interval.to_seconds();
-  for (std::size_t port = 0; port < router_.port_count(); ++port) {
-    const auto it = bytes_by_agg_inport_.find({agg, static_cast<int>(port)});
-    if (it == bytes_by_agg_inport_.end() || it->second == 0) continue;
+  for (std::size_t port = 0; port < it->second.in_bytes.size(); ++port) {
+    const std::uint64_t bytes = it->second.in_bytes[port];
+    if (bytes == 0) continue;
     const sim::NodeId neighbor = router_.neighbor(port);
     if (system_.network().node(neighbor).kind() != net::NodeKind::kRouter) {
       continue;
     }
     in_ports.push_back(static_cast<int>(port));
-    demands.push_back(static_cast<double>(it->second) * 8.0 / interval_s);
-    weights.push_back(system_.port_weight(router_.id(), static_cast<int>(port)));
+    demands.push_back(static_cast<double>(bytes) * 8.0 / interval_s);
+    weights.push_back(port_weight(port));
   }
   if (in_ports.empty()) return;
 
@@ -244,10 +261,9 @@ void PushbackAgent::on_timer() {
     // aggregate (forwarded + locally limited) to whoever imposed the limit.
     if (!session.requesters.empty()) {
       double demand_bytes = 0.0;
-      for (std::size_t port = 0; port < router_.port_count(); ++port) {
-        const auto it = bytes_by_agg_inport_.find({agg, static_cast<int>(port)});
-        if (it != bytes_by_agg_inport_.end()) {
-          demand_bytes += static_cast<double>(it->second);
+      if (const auto it = window_.find(agg); it != window_.end()) {
+        for (const std::uint64_t bytes : it->second.in_bytes) {
+          demand_bytes += static_cast<double>(bytes);
         }
       }
       const double demand_bps = demand_bytes * 8.0 / interval_s;
@@ -263,30 +279,21 @@ void PushbackAgent::on_timer() {
   }
 
   // Roll the window.
-  for (auto& port : ports_) port = PortWindow{};
-  bytes_by_agg_outport_.clear();
-  bytes_by_agg_inport_.clear();
-  limited_bytes_.clear();
+  std::fill(queue_drop_bytes_.begin(), queue_drop_bytes_.end(), 0);
+  window_.clear();
 }
 
 void PushbackAgent::receive_request(AggregateKey agg, double limit_bps,
                                     int depth, sim::NodeId from) {
-  auto [it, created] = sessions_.try_emplace(agg);
-  Session& session = it->second;
-  if (session.self_originated) {
-    limit_bps = std::min(limit_bps, session.limit_bps);
+  // A downstream request never loosens this router's own limit.
+  if (const auto it = sessions_.find(agg);
+      it != sessions_.end() && it->second.self_originated) {
+    limit_bps = std::min(limit_bps, it->second.limit_bps);
   }
-  session.limit_bps = limit_bps;
+  Session& session = set_limit(agg, limit_bps);
   session.depth = std::max(session.depth, depth);
   session.requesters.insert(from);
   session.windows_since_refresh = 0;
-  if (created) {
-    session.bucket = std::make_unique<TokenBucket>(
-        limit_bps, system_.params().bucket_burst_bytes,
-        system_.simulator().now());
-  } else {
-    session.bucket->set_rate(limit_bps);
-  }
 }
 
 void PushbackAgent::receive_status(AggregateKey agg, double demand_bps) {
@@ -329,20 +336,6 @@ void PushbackSystem::on_timer() {
   for (auto& [id, agent] : agents_) agent->on_timer();
   simulator_.after(params_.interval, [this] { on_timer(); },
                    "pushback.timer");
-}
-
-void PushbackSystem::set_port_weights(sim::NodeId router,
-                                      std::vector<double> weights) {
-  port_weights_[router] = std::move(weights);
-}
-
-double PushbackSystem::port_weight(sim::NodeId router, int port) const {
-  const auto it = port_weights_.find(router);
-  if (it == port_weights_.end()) return 1.0;
-  if (port < 0 || static_cast<std::size_t>(port) >= it->second.size()) {
-    return 1.0;
-  }
-  return std::max(1e-9, it->second[static_cast<std::size_t>(port)]);
 }
 
 void PushbackSystem::send_request(sim::NodeId from, sim::NodeId to,

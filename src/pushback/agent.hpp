@@ -24,6 +24,7 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "net/control_plane.hpp"
@@ -85,25 +86,41 @@ class PushbackAgent final : public net::PacketFilter, public net::ForwardTap {
   // ended and oscillate.
   void receive_status(AggregateKey agg, double demand_bps);
 
+  // Level-k extension: weight per input port — e.g. number of leaf hosts
+  // behind the port.  Unset ports => plain pushback (weight 1).
+  void set_port_weights(std::vector<double> weights) {
+    weights_ = std::move(weights);
+  }
+
   std::size_t active_sessions() const { return sessions_.size(); }
   std::uint64_t limited_drops() const { return limited_drops_; }
 
  private:
-  struct PortWindow {
-    std::uint64_t arrived_bytes = 0;   // offered to the output queue
-    std::uint64_t dropped_bytes = 0;   // dropped by the output queue
-  };
   // Stored target for the per-port queue drop-observer ref: lives in
   // drop_thunks_ (reserved once in the constructor) for the agent's lifetime.
   struct DropThunk {
     PushbackAgent* agent;
     std::size_t port;
     void operator()(const sim::Packet& dropped) const {
-      agent->ports_[port].dropped_bytes +=
+      agent->queue_drop_bytes_[port] +=
           static_cast<std::uint64_t>(dropped.size_bytes);
     }
   };
+  // One aggregate's traffic in the current window.
+  struct Traffic {
+    // Per input port: forwarded plus locally limited bytes (its demand).
+    std::vector<std::uint64_t> in_bytes;
+    // Per output port: forwarded bytes (offered to the output queue).
+    std::vector<std::uint64_t> out_bytes;
+    // Bytes the local rate limiter dropped: evidence the aggregate's
+    // demand still exceeds its limit even though the output queue looks
+    // calm.
+    std::uint64_t limited_bytes = 0;
+  };
   struct Session {
+    explicit Session(const TokenBucket& b) : bucket(b) {}
+
+    TokenBucket bucket;
     double limit_bps = 0.0;
     int depth = 0;
     bool self_originated = false;
@@ -111,26 +128,27 @@ class PushbackAgent final : public net::PacketFilter, public net::ForwardTap {
     int windows_since_refresh = 0;
     int calm_windows = 0;               // congestion-free windows (self only)
     double reported_demand_bps = 0.0;   // upstream status feedback, per window
-    std::unique_ptr<TokenBucket> bucket;
     std::set<int> upstream_ports;       // ports we sent requests through
   };
 
   AggregateKey key_of(const sim::Packet& p) const;
+  Traffic& traffic(AggregateKey agg);
+  double port_weight(std::size_t port) const;
+  // The session for `agg` limited to `limit_bps`: a new one starts with a
+  // full bucket, an existing one is re-rated.
+  Session& set_limit(AggregateKey agg, double limit_bps);
   void detect_congestion();
   void propagate(AggregateKey agg, Session& session);
   void remove_session(AggregateKey agg, Session& session);
 
   PushbackSystem& system_;
   net::Router& router_;
-  std::vector<PortWindow> ports_;
+  // Per output port: bytes its queue dropped this window.
+  std::vector<std::uint64_t> queue_drop_bytes_;
   std::vector<DropThunk> drop_thunks_;
+  std::vector<double> weights_;
   // Window accounting keyed by aggregate signature (destination prefix).
-  std::map<std::pair<AggregateKey, int>, std::uint64_t> bytes_by_agg_outport_;
-  std::map<std::pair<AggregateKey, int>, std::uint64_t> bytes_by_agg_inport_;
-  // Bytes the local rate limiter dropped this window: evidence the
-  // aggregate's demand still exceeds its limit even though the output
-  // queue looks calm.
-  std::map<AggregateKey, std::uint64_t> limited_bytes_;
+  std::map<AggregateKey, Traffic> window_;
   std::map<AggregateKey, Session> sessions_;
   std::uint64_t limited_drops_ = 0;
 };
@@ -142,11 +160,6 @@ class PushbackSystem {
 
   // Installs agents on the given routers and starts the window timer.
   void install(std::span<const sim::NodeId> routers);
-
-  // Level-k extension: weight for (router, in_port) — e.g. number of leaf
-  // hosts behind the port.  Unset => plain pushback (weight 1).
-  void set_port_weights(sim::NodeId router, std::vector<double> weights);
-  double port_weight(sim::NodeId router, int port) const;
 
   // Message transport between agents (1 control hop each).
   void send_request(sim::NodeId from, sim::NodeId to, AggregateKey agg,
@@ -177,8 +190,9 @@ class PushbackSystem {
   net::Network& network_;
   net::ControlPlane& control_;
   PushbackParams params_;
+  // Ordered: the timer visits agents by id, which fixes the order of the
+  // control messages (and so of the control plane's RNG draws).
   std::map<sim::NodeId, std::unique_ptr<PushbackAgent>> agents_;
-  std::map<sim::NodeId, std::vector<double>> port_weights_;
   std::uint64_t requests_ = 0;
   std::uint64_t cancels_ = 0;
   bool timer_started_ = false;

@@ -197,6 +197,7 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
     routers.push_back(tree.gateway);
     routers.insert(routers.end(), tree.access_routers.begin(),
                    tree.access_routers.end());
+    pushback_system->install(routers);
     if (config.pb_weighted_by_hosts) {
       // Level-k flavour: weight each router port by the number of leaf
       // hosts reachable upstream through it.
@@ -213,10 +214,9 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
           }
           weights[port] = std::max(1.0, hosts);
         }
-        pushback_system->set_port_weights(r, std::move(weights));
+        pushback_system->agent(r)->set_port_weights(std::move(weights));
       }
     }
-    pushback_system->install(routers);
   } else if (config.scheme == Scheme::kHbp) {
     core::HbpParams hbp = config.hbp;
     if (config.hbp_deploy_fraction < 1.0) {

@@ -34,17 +34,20 @@ enum class PacketType : std::uint8_t {
 // ingress stamp an AS edge router reports with a diverted packet.
 inline constexpr std::int32_t kNoMark = -1;
 
+// Fields are ordered by width (8-byte, 4-byte, then 1-byte) so the struct
+// packs into 72 bytes; ground-truth fields are marked and must never be
+// read by protocol logic.
 struct Packet {
   std::uint64_t uid = 0;           // unique per simulation, for tracing
-  PacketType type = PacketType::kData;
+  std::int64_t seq = 0;            // TCP-lite sequence number (byte offset)
+  std::int64_t ack = 0;            // TCP-lite cumulative acknowledgement
+  SimTime sent_at = SimTime::zero();  // ground truth: when it was sent
+
   Address src = 0;                 // protocol-visible, possibly spoofed
   Address dst = 0;
   std::int32_t size_bytes = 1000;
-  std::uint8_t ttl = 64;
   std::int32_t mark = kNoMark;     // path mark (StackPi)
   std::uint32_t flow = 0;          // flow identifier for per-flow accounting
-  std::int64_t seq = 0;            // TCP-lite sequence number (byte offset)
-  std::int64_t ack = 0;            // TCP-lite cumulative acknowledgement
 
   // Probabilistic packet marking (Savage et al. edge sampling, used by the
   // PPM traceback baseline): an edge (start, end) plus the hop distance
@@ -53,10 +56,12 @@ struct Packet {
   std::int32_t edge_end = kNoMark;
   std::int32_t edge_distance = 0;
 
-  // --- ground truth, invisible to protocol logic ---
-  NodeId origin_node = kInvalidNode;  // who really sent it
-  bool is_attack = false;             // labeled by the traffic generator
-  SimTime sent_at = SimTime::zero();
+  NodeId origin_node = kInvalidNode;  // ground truth: who really sent it
+
+  PacketType type = PacketType::kData;
+  std::uint8_t ttl = 64;
+  bool is_attack = false;  // ground truth: labeled by the traffic generator
 };
+static_assert(sizeof(Packet) == 72, "Packet has picked up padding");
 
 }  // namespace hbp::sim

@@ -1,5 +1,6 @@
 #include "trace/tracer.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -8,9 +9,6 @@
 #include "util/assert.hpp"
 
 namespace hbp::trace {
-
-Tracer::Tracer(const TracerOptions& options)
-    : flight_(options.flight_capacity) {}
 
 Tracer::~Tracer() { detach(); }
 
@@ -30,13 +28,7 @@ void Tracer::detach() {
 }
 
 void Tracer::record(const sim::TraceEvent& e) {
-  ++recorded_;
   ++by_verb_[static_cast<std::size_t>(e.verb)];
-  if (!flight_.empty()) {
-    flight_[flight_head_] = e;
-    flight_head_ = (flight_head_ + 1) % flight_.size();
-    if (flight_count_ < flight_.size()) ++flight_count_;
-  }
   if (size_ == chunks_.size() * kChunkEvents) {
     chunks_.push_back(std::make_unique<Chunk>());
   }
@@ -45,12 +37,14 @@ void Tracer::record(const sim::TraceEvent& e) {
 }
 
 void Tracer::dump_flight(std::string& out) const {
+  const std::size_t first = size_ - std::min(size_, kFlightEvents);
   char buf[192];
   std::snprintf(buf, sizeof(buf),
-                "flight recorder (last %zu of %llu events):\n", flight_count_,
-                static_cast<unsigned long long>(recorded_));
+                "flight recorder (last %zu of %llu events):\n", size_ - first,
+                static_cast<unsigned long long>(size_));
   out += buf;
-  for_each_flight([&](const sim::TraceEvent& e) {
+  for (std::size_t i = first; i < size_; ++i) {
+    const sim::TraceEvent& e = event_at(i);
     const char* name = "";
     if (network_ != nullptr && e.node >= 0 &&
         static_cast<std::size_t>(e.node) < network_->node_count()) {
@@ -62,11 +56,11 @@ void Tracer::dump_flight(std::string& out) const {
                   static_cast<unsigned long long>(e.id),
                   static_cast<unsigned long long>(e.cause), e.a, e.b);
     out += buf;
-  });
+  }
 }
 
 void Tracer::export_counters(telemetry::Registry& registry) const {
-  registry.counter("trace.recorded").add(recorded_);
+  registry.counter("trace.recorded").add(size_);
   for (std::size_t v = 0; v < sim::kTraceVerbCount; ++v) {
     if (by_verb_[v] == 0) continue;
     std::string key = "trace.verb.";

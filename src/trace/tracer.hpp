@@ -1,12 +1,10 @@
 // The causal-trace recorder: receives sim::TraceEvent records from the
-// Simulator's sink and stores them in two places at once:
-//
-//  * a chunked slab store (full trace, exporters iterate it in emission
-//    order) — appended amortized, never one heap allocation per event, so
-//    the enabled path stays cheap and the disabled path (no Tracer
-//    attached) costs exactly one branch per hook;
-//  * a fixed-capacity flight-recorder ring (last N events) that
-//    net::InvariantChecker dumps into its diagnostic when an audit fails.
+// Simulator's sink and keeps them in a chunked slab store (full trace,
+// exporters iterate it in emission order) — appended amortized, never one
+// heap allocation per event, so the enabled path stays cheap and the
+// disabled path (no Tracer attached) costs exactly one branch per hook.
+// Its tail is the flight recorder that net::InvariantChecker dumps into its
+// diagnostic when an audit fails.
 //
 // A Tracer must outlive its attachment: attach() hands the Simulator
 // function_refs bound to *this (see util/function_ref.hpp's lifetime
@@ -31,14 +29,12 @@ class Registry;
 
 namespace hbp::trace {
 
-struct TracerOptions {
-  // Flight-recorder depth ("last N events"); 0 disables the ring.
-  std::size_t flight_capacity = 256;
-};
-
 class Tracer {
  public:
-  explicit Tracer(const TracerOptions& options = {});
+  // Events the flight-recorder dump shows ("last N events").
+  static constexpr std::size_t kFlightEvents = 256;
+
+  Tracer() = default;
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
   ~Tracer();
@@ -54,8 +50,6 @@ class Tracer {
   // The sink itself; also callable directly (tests).
   void record(const sim::TraceEvent& e);
 
-  // Total events seen.
-  std::uint64_t recorded() const { return recorded_; }
   std::uint64_t verb_count(sim::TraceVerb v) const {
     return by_verb_[static_cast<std::size_t>(v)];
   }
@@ -68,18 +62,9 @@ class Tracer {
     for (std::size_t i = 0; i < size_; ++i) fn(event_at(i));
   }
 
-  // Flight ring, oldest to newest.
-  std::size_t flight_capacity() const { return flight_.size(); }
-  std::size_t flight_size() const { return flight_count_; }
-  template <typename Fn>
-  void for_each_flight(Fn&& fn) const {
-    const std::size_t n = flight_.size();
-    for (std::size_t i = 0; i < flight_count_; ++i) {
-      fn(flight_[(flight_head_ + n - flight_count_ + i) % n]);
-    }
-  }
-  // Appends a human-readable "last N events" tail to `out` (the shape the
-  // InvariantChecker embeds in its failure diagnostic).
+  // Appends the last kFlightEvents events, oldest first, as human-readable
+  // lines to `out` (the shape the InvariantChecker embeds in its failure
+  // diagnostic).
   void dump_flight(std::string& out) const;
 
   // Registers trace.recorded plus one trace.verb.<name> counter per verb
@@ -101,11 +86,6 @@ class Tracer {
   std::vector<std::unique_ptr<Chunk>> chunks_;
   std::size_t size_ = 0;
 
-  std::vector<sim::TraceEvent> flight_;
-  std::size_t flight_head_ = 0;   // next slot to overwrite
-  std::size_t flight_count_ = 0;  // valid entries, <= flight_.size()
-
-  std::uint64_t recorded_ = 0;
   std::array<std::uint64_t, sim::kTraceVerbCount> by_verb_{};
 };
 

@@ -33,14 +33,33 @@ std::optional<std::string> Flags::lookup(const std::string& key) {
   return it->second;
 }
 
+void Flags::reject(const std::string& key, const std::string& value,
+                   const char* expected) const {
+  std::fprintf(stderr, "%s: flag --%s=%s is not %s\n", program_.c_str(),
+               key.c_str(), value.c_str(), expected);
+  std::exit(2);
+}
+
+double Flags::parse_double(const std::string& key,
+                           const std::string& text) const {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0') reject(key, text, "a number");
+  return value;
+}
+
 double Flags::get_double(const std::string& key, double def) {
   const auto v = lookup(key);
-  return v ? std::strtod(v->c_str(), nullptr) : def;
+  return v ? parse_double(key, *v) : def;
 }
 
 std::int64_t Flags::get_int(const std::string& key, std::int64_t def) {
   const auto v = lookup(key);
-  return v ? std::strtoll(v->c_str(), nullptr, 10) : def;
+  if (!v) return def;
+  char* end = nullptr;
+  const std::int64_t value = std::strtoll(v->c_str(), &end, 10);
+  if (v->empty() || *end != '\0') reject(key, *v, "an integer");
+  return value;
 }
 
 bool Flags::get_bool(const std::string& key, bool def) {
@@ -64,7 +83,7 @@ std::vector<double> Flags::get_double_list(const std::string& key,
   while (pos < s.size()) {
     std::size_t comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::strtod(s.substr(pos, comma - pos).c_str(), nullptr));
+    out.push_back(parse_double(key, s.substr(pos, comma - pos)));
     pos = comma + 1;
   }
   return out;

@@ -1,7 +1,8 @@
 // Minimal command-line flag parsing for bench/example binaries.
 //
 // Accepts "--key=value" and "--key value" forms plus bare "--key" booleans.
-// Unknown flags are an error so typos in sweep scripts fail loudly.
+// Unknown flags and malformed numbers are errors so typos in sweep scripts
+// fail loudly.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,8 @@ class Flags {
   Flags(int argc, char** argv);
 
   // Each get_* registers the key as known; call finish() after all lookups.
+  // A numeric flag whose value is empty or has trailing junk exits with
+  // status 2, as finish() does for unknown flags.
   double get_double(const std::string& key, double def);
   std::int64_t get_int(const std::string& key, std::int64_t def);
   bool get_bool(const std::string& key, bool def);
@@ -34,6 +37,9 @@ class Flags {
 
  private:
   std::optional<std::string> lookup(const std::string& key);
+  double parse_double(const std::string& key, const std::string& text) const;
+  [[noreturn]] void reject(const std::string& key, const std::string& value,
+                           const char* expected) const;
 
   std::map<std::string, std::string> values_;
   std::set<std::string> known_;

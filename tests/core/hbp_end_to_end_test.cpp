@@ -14,6 +14,7 @@
 #include "net/control_plane.hpp"
 #include "net/network.hpp"
 #include "topo/string_topo.hpp"
+#include "trace/tracer.hpp"
 #include "traffic/cbr.hpp"
 #include "traffic/spoof.hpp"
 #include "util/rng.hpp"
@@ -80,6 +81,40 @@ struct HbpStringFixture : public ::testing::Test {
     client->start();
   }
 
+  struct DivertStamps {
+    std::size_t lied = 0;      // at the compromised router
+    std::size_t upstream = 0;  // honest, from an upstream cross link
+    std::size_t intra = 0;     // honest, from a port inside the AS
+  };
+
+  // Checks that every traced divert carries the stamp its ingress port
+  // calls for: `lie` at the compromised router `liar`, the upstream cross
+  // link's edge id at an honest router, and kNoMark on a port inside the
+  // AS.
+  DivertStamps check_divert_stamps(const trace::Tracer& tracer,
+                                   sim::NodeId liar, int lie) const {
+    DivertStamps counts;
+    tracer.for_each([&](const sim::TraceEvent& e) {
+      if (e.verb != sim::TraceVerb::kDivert) return;
+      if (e.node == liar) {
+        EXPECT_EQ(e.b, lie) << "divert on port " << e.a;
+        ++counts.lied;
+        return;
+      }
+      const topo::AsInfo& info = topo.as_map.info(network.node(e.node).as_id());
+      int expected = sim::kNoMark;
+      for (const topo::CrossLink& cl : info.cross_links) {
+        if (cl.router == e.node && cl.port == e.a && cl.upstream) {
+          expected = cl.edge_id;
+        }
+      }
+      EXPECT_EQ(e.b, expected) << "divert at node " << e.node << " port "
+                               << e.a;
+      ++(expected == sim::kNoMark ? counts.intra : counts.upstream);
+    });
+    return counts;
+  }
+
   sim::Simulator simulator;
   net::Network network{simulator};
   topo::StringTopo topo;
@@ -96,8 +131,16 @@ struct HbpStringFixture : public ::testing::Test {
 
 TEST_F(HbpStringFixture, CapturesSpoofingAttacker) {
   build(5, false, HbpParams{});
+  trace::Tracer tracer;
+  tracer.attach(simulator, &network);
   attack();
   simulator.run_until(sim::SimTime::seconds(120));
+  // Transit edge routers stamp their upstream edge id; the stub's access
+  // router sees the attack on its switch port and stamps nothing.
+  const DivertStamps stamps =
+      check_divert_stamps(tracer, sim::kInvalidNode, sim::kNoMark);
+  EXPECT_GT(stamps.upstream, 0u);
+  EXPECT_GT(stamps.intra, 0u);
   ASSERT_EQ(defense->captures().size(), 1u);
   EXPECT_EQ(defense->captures()[0].host, topo.attacker_host);
   EXPECT_GT(defense->activations(), 0u);
@@ -179,15 +222,22 @@ TEST_F(HbpStringFixture, CompromisedEdgeRouterCannotCauseFalseCapture) {
   // matching cross link / no packets there); the attacker may escape but
   // nobody innocent is captured.
   build(5, true, HbpParams{});
-  const net::AsId mid_as = network.node(topo.chain_routers[2]).as_id();
+  trace::Tracer tracer;
+  tracer.attach(simulator, &network);
+  const sim::NodeId liar = topo.chain_routers[2];
+  const net::AsId mid_as = network.node(liar).as_id();
   // Prime: create the HSM before compromising its filter-to-be.
-  defense->hsm(mid_as)->compromise_edge_router(topo.chain_routers[2], 777);
+  defense->hsm(mid_as)->compromise_edge_router(liar, 777);
   attack();
   legit_client();
   simulator.run_until(sim::SimTime::seconds(150));
   for (const auto& c : defense->captures()) {
     EXPECT_EQ(c.host, topo.attacker_host);
   }
+
+  const DivertStamps stamps = check_divert_stamps(tracer, liar, 777);
+  EXPECT_GT(stamps.lied, 0u);
+  EXPECT_GT(stamps.upstream, 0u);
 }
 
 TEST_F(HbpStringFixture, PartialDeploymentBridgesGaps) {

@@ -20,8 +20,10 @@
 namespace hbp::pushback {
 namespace {
 
-struct PushbackFixture : public ::testing::Test {
-  void SetUp() override {
+// The Y network with a Pushback system over its routers (not yet
+// installed).
+struct YNetwork {
+  YNetwork() {
     congested = &network.add_node<net::Router>("congested");
     up_a = &network.add_node<net::Router>("up_a");
     up_b = &network.add_node<net::Router>("up_b");
@@ -73,6 +75,27 @@ struct PushbackFixture : public ::testing::Test {
   std::unique_ptr<PushbackSystem> system;
   util::Rng rng{3};
 };
+
+struct PushbackFixture : public ::testing::Test, public YNetwork {};
+
+// A 10 Mb/s flood from the attacker beside a 1.5 Mb/s client, both to the
+// server, for 10 s.
+void run_flood_and_client(YNetwork& y) {
+  traffic::CbrParams flood;
+  flood.rate_bps = 10e6;
+  flood.is_attack = true;
+  traffic::CbrSource bad(y.simulator, *y.attacker, y.rng, flood,
+                         [&y] { return y.server->address(); },
+                         traffic::random_spoof());
+  bad.start();
+  util::Rng rng2(99);
+  traffic::CbrParams legit;
+  legit.rate_bps = 1.5e6;
+  traffic::CbrSource good(y.simulator, *y.client, rng2, legit,
+                          [&y] { return y.server->address(); });
+  good.start();
+  y.simulator.run_until(sim::SimTime::seconds(10));
+}
 
 TEST_F(PushbackFixture, DetectsCongestionAndCreatesSession) {
   install_all();
@@ -184,13 +207,24 @@ TEST_F(PushbackFixture, NoSessionsWithoutCongestion) {
 }
 
 TEST_F(PushbackFixture, WeightedSplitFavorsHeavyPorts) {
-  // Level-k flavour: give up_b (the client side) weight 10; its share of
-  // the pushback limit grows relative to the attacker side.
-  system->set_port_weights(congested->id(), {1.0, 1.0, 10.0});
+  // Level-k flavour: the same flood and client twice, the second time with
+  // up_b (the client side, port 2 of the congested router) weighted 10.
+  // Its share of the congested router's limit grows, so up_b is limited
+  // less (or not at all) than in the plain max-min split.
   install_all();
-  EXPECT_DOUBLE_EQ(system->port_weight(congested->id(), 2), 10.0);
-  EXPECT_DOUBLE_EQ(system->port_weight(congested->id(), 0), 1.0);
-  EXPECT_DOUBLE_EQ(system->port_weight(up_a->id(), 0), 1.0);  // default
+  run_flood_and_client(*this);
+
+  YNetwork weighted;
+  weighted.install_all();
+  weighted.system->agent(weighted.congested->id())
+      ->set_port_weights({1.0, 1.0, 10.0});
+  run_flood_and_client(weighted);
+
+  const std::uint64_t plain_drops = system->agent(up_b->id())->limited_drops();
+  const std::uint64_t weighted_drops =
+      weighted.system->agent(weighted.up_b->id())->limited_drops();
+  EXPECT_GT(plain_drops, 0u);
+  EXPECT_LT(weighted_drops, plain_drops);
 }
 
 }  // namespace

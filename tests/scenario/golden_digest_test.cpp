@@ -186,5 +186,35 @@ TEST(GoldenDigest, TreeHbpPartialDeployment) {
                });
 }
 
+Entries tree_pushback_entries(const TreeResult& r) {
+  return {
+      {"trace_digest", hex64(r.trace_digest)},
+      {"events_executed", dec64(r.events_executed)},
+      {"mean_client_throughput", real(r.mean_client_throughput)},
+      {"control_messages", dec64(r.control_messages)},
+      {"pushback_requests", dec64(r.pushback_requests)},
+      {"pushback_limited_drops", dec64(r.pushback_limited_drops)},
+  };
+}
+
+// E4 baseline (Figs. 8/10/11): the same tree traffic under Pushback, so
+// congestion detection, max-min limits and upstream propagation all run.
+TEST(GoldenDigest, TreePushbackSmall) {
+  TreeExperimentConfig config = tree_hbp_small_config();
+  config.scheme = Scheme::kPushback;
+  check_golden("tree_pushback_small.txt",
+               tree_pushback_entries(run_tree_experiment(config, 7)));
+}
+
+// Level-k variant: the upstream split is weighted by the leaf hosts behind
+// each port.
+TEST(GoldenDigest, TreePushbackLevelK) {
+  TreeExperimentConfig config = tree_hbp_small_config();
+  config.scheme = Scheme::kPushback;
+  config.pb_weighted_by_hosts = true;
+  check_golden("tree_pushback_level_k.txt",
+               tree_pushback_entries(run_tree_experiment(config, 7)));
+}
+
 }  // namespace
 }  // namespace hbp::scenario

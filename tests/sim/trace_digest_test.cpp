@@ -115,7 +115,7 @@ TEST(TraceDigest, EmitFoldsTheRecipeForEveryVerb) {
     trace::Tracer tracer;
     tracer.attach(traced);
     traced.emit(e);
-    EXPECT_EQ(tracer.recorded(), 1u);
+    EXPECT_EQ(tracer.size(), 1u);
     EXPECT_EQ(traced.trace().value(), bare.trace().value());
     EXPECT_EQ(traced.trace().records(), bare.trace().records());
   }

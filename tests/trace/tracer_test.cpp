@@ -31,7 +31,6 @@ TEST(Tracer, RecordsInOrderAcrossChunks) {
   Tracer tracer;
   for (std::uint64_t i = 0; i < 10'000; ++i) tracer.record(make_event(i));
 
-  EXPECT_EQ(tracer.recorded(), 10'000u);
   ASSERT_EQ(tracer.size(), 10'000u);
   EXPECT_EQ(tracer.verb_count(sim::TraceVerb::kEnqueue), 10'000u);
   EXPECT_EQ(tracer.verb_count(sim::TraceVerb::kDeliver), 0u);
@@ -43,42 +42,38 @@ TEST(Tracer, RecordsInOrderAcrossChunks) {
   EXPECT_EQ(next, 10'000u);
 }
 
-TEST(Tracer, FlightRingKeepsLastNOldestToNewest) {
-  TracerOptions options;
-  options.flight_capacity = 4;
-  Tracer tracer(options);
-  for (std::uint64_t i = 0; i < 6; ++i) tracer.record(make_event(i));
-
-  EXPECT_EQ(tracer.flight_capacity(), 4u);
-  EXPECT_EQ(tracer.flight_size(), 4u);
+// The ids on a dump's event lines, in order.
+std::vector<std::uint64_t> dumped_ids(const std::string& out) {
   std::vector<std::uint64_t> ids;
-  tracer.for_each_flight(
-      [&](const sim::TraceEvent& e) { ids.push_back(e.id); });
-  EXPECT_EQ(ids, (std::vector<std::uint64_t>{2, 3, 4, 5}));
+  for (std::size_t pos = out.find(" id="); pos != std::string::npos;
+       pos = out.find(" id=", pos + 1)) {
+    ids.push_back(std::stoull(out.substr(pos + 4)));
+  }
+  return ids;
 }
 
-TEST(Tracer, FlightRingPartiallyFilled) {
-  TracerOptions options;
-  options.flight_capacity = 8;
-  Tracer tracer(options);
-  for (std::uint64_t i = 0; i < 3; ++i) tracer.record(make_event(i));
+TEST(Tracer, DumpFlightShowsTheLast256OldestToNewest) {
+  Tracer tracer;
+  for (std::uint64_t i = 0; i < 300; ++i) tracer.record(make_event(i));
 
-  EXPECT_EQ(tracer.flight_size(), 3u);
-  std::vector<std::uint64_t> ids;
-  tracer.for_each_flight(
-      [&](const sim::TraceEvent& e) { ids.push_back(e.id); });
-  EXPECT_EQ(ids, (std::vector<std::uint64_t>{0, 1, 2}));
+  std::string out;
+  tracer.dump_flight(out);
+  EXPECT_EQ(out.rfind("flight recorder (last 256 of 300 events):\n", 0), 0u);
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t i = 44; i < 300; ++i) expected.push_back(i);
+  EXPECT_EQ(dumped_ids(out), expected);
+  // The dump is a view: the full trace is still there.
+  EXPECT_EQ(tracer.size(), 300u);
 }
 
-TEST(Tracer, ZeroFlightCapacityDisablesTheRing) {
-  TracerOptions options;
-  options.flight_capacity = 0;
-  Tracer tracer(options);
+TEST(Tracer, DumpFlightShowsEveryEventBelow256) {
+  Tracer tracer;
   for (std::uint64_t i = 0; i < 3; ++i) tracer.record(make_event(i));
 
-  EXPECT_EQ(tracer.flight_capacity(), 0u);
-  EXPECT_EQ(tracer.flight_size(), 0u);
-  EXPECT_EQ(tracer.size(), 3u);
+  std::string out;
+  tracer.dump_flight(out);
+  EXPECT_EQ(out.rfind("flight recorder (last 3 of 3 events):\n", 0), 0u);
+  EXPECT_EQ(dumped_ids(out), (std::vector<std::uint64_t>{0, 1, 2}));
 }
 
 TEST(Tracer, AttachInstallsSimulatorSinkAndDetachRemovesIt) {
@@ -90,7 +85,7 @@ TEST(Tracer, AttachInstallsSimulatorSinkAndDetachRemovesIt) {
   EXPECT_TRUE(tracer.attached());
 
   simulator.emit(make_event(7));
-  EXPECT_EQ(tracer.recorded(), 1u);
+  EXPECT_EQ(tracer.size(), 1u);
   EXPECT_EQ(tracer.event(0).id, 7u);
 
   std::string out;
@@ -103,7 +98,7 @@ TEST(Tracer, AttachInstallsSimulatorSinkAndDetachRemovesIt) {
   EXPECT_FALSE(simulator.dump_flight(out));
   // An emit on a detached simulator reaches no sink.
   simulator.emit(make_event(8));
-  EXPECT_EQ(tracer.recorded(), 1u);
+  EXPECT_EQ(tracer.size(), 1u);
 }
 
 TEST(Tracer, DestructorDetachesFromTheSimulator) {

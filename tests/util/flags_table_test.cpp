@@ -53,6 +53,43 @@ TEST(Flags, DoubleList) {
   EXPECT_DOUBLE_EQ(v[2], 10.0);
 }
 
+TEST(Flags, NegativeAndExponentNumbersParse) {
+  auto flags = make_flags({"--count=-4", "--rate=1e-3"});
+  EXPECT_EQ(flags.get_int("count", 0), -4);
+  EXPECT_DOUBLE_EQ(flags.get_double("rate", 0.0), 1e-3);
+}
+
+TEST(FlagsDeathTest, MalformedIntExitsNamingTheFlag) {
+  EXPECT_EXIT(make_flags({"--node=abc"}).get_int("node", -1),
+              ::testing::ExitedWithCode(2), "--node=abc is not an integer");
+  EXPECT_EXIT(make_flags({"--node=12x"}).get_int("node", -1),
+              ::testing::ExitedWithCode(2), "--node=12x is not an integer");
+  EXPECT_EXIT(make_flags({"--node=2.5"}).get_int("node", -1),
+              ::testing::ExitedWithCode(2), "--node=2.5 is not an integer");
+}
+
+TEST(FlagsDeathTest, EmptyOrBareNumericValueExits) {
+  EXPECT_EXIT(make_flags({"--seed="}).get_int("seed", 1),
+              ::testing::ExitedWithCode(2), "--seed= is not an integer");
+  // A bare flag reads as "true", which is no number.
+  EXPECT_EXIT(make_flags({"--rate"}).get_double("rate", 1.0),
+              ::testing::ExitedWithCode(2), "--rate=true is not a number");
+}
+
+TEST(FlagsDeathTest, MalformedDoubleExitsNamingTheFlag) {
+  EXPECT_EXIT(make_flags({"--rate=fast"}).get_double("rate", 0.0),
+              ::testing::ExitedWithCode(2), "--rate=fast is not a number");
+  EXPECT_EXIT(make_flags({"--rate=0.5mbps"}).get_double("rate", 0.0),
+              ::testing::ExitedWithCode(2), "--rate=0.5mbps is not a number");
+}
+
+TEST(FlagsDeathTest, MalformedListElementExits) {
+  EXPECT_EXIT(make_flags({"--sweep=1,x,3"}).get_double_list("sweep", {}),
+              ::testing::ExitedWithCode(2), "--sweep=x is not a number");
+  EXPECT_EXIT(make_flags({"--sweep=1,,3"}).get_double_list("sweep", {}),
+              ::testing::ExitedWithCode(2), "--sweep= is not a number");
+}
+
 TEST(Flags, HasDetectsPresence) {
   auto flags = make_flags({"--x=1"});
   EXPECT_TRUE(flags.has("x"));
