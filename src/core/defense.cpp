@@ -270,11 +270,12 @@ void HbpDefense::export_telemetry(telemetry::Registry& registry) const {
   }
 }
 
-void HbpDefense::on_capture(sim::NodeId host, sim::Address dst) {
+void HbpDefense::on_capture(sim::NodeId host, sim::Address dst,
+                            std::uint64_t cause) {
   if (captured_hosts_.contains(host)) return;
   captured_hosts_.insert(host);
-  simulator_.emit({simulator_.now(), sim::TraceVerb::kCapture, host, 0, 0,
-                   static_cast<std::int32_t>(dst), -1});
+  simulator_.emit({simulator_.now(), sim::TraceVerb::kCapture, host, cause,
+                   cause, static_cast<std::int32_t>(dst), -1});
   const CaptureEvent event{host, dst, simulator_.now()};
   captures_.push_back(event);
   for (const auto& fn : capture_listeners_) fn(event);

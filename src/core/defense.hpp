@@ -77,8 +77,9 @@ class HbpDefense {
   // Progressive report from a stalled transit AS back to the server.
   void report_to_server(net::AsId from, sim::Address dst, std::size_t epoch);
 
-  // A switch port (or router port) was closed on `host`.
-  void on_capture(sim::NodeId host, sim::Address dst);
+  // A switch port (or router port) was closed on `host`; `cause` is the
+  // trace cause of its session.
+  void on_capture(sim::NodeId host, sim::Address dst, std::uint64_t cause);
 
   // The one receive point: verifies the MAC under KeyStore::key_for,
   // counts forgeries, then hands the message to its HSM or to the

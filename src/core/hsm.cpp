@@ -158,8 +158,8 @@ net::FilterAction Hsm::DivertFilter::on_packet(const sim::Packet& p,
   // ("only the honeypot traffic, which will be discarded anyway").
   const sim::NodeId reporter = router_.id();
   sim::Simulator& simulator = hsm_.defense().simulator();
-  simulator.emit({simulator.now(), sim::TraceVerb::kDivert, reporter, p.uid, 0,
-                  in_port, stamp});
+  simulator.emit({simulator.now(), sim::TraceVerb::kDivert, reporter, p.uid,
+                  session->second.trace_cause, in_port, stamp});
   hsm_.defense().control().send(
       "divert_report", 1,
       [hsm = &hsm_, reporter, in_port, dst = p.dst, uid = p.uid, stamp] {
@@ -216,6 +216,7 @@ void Hsm::receive_request(const HoneypotRequest& m) {
     close_local_sessions(m.dst, session);
     session = HsmSession{};
   }
+  if (session.epoch != m.epoch) session.trace_cause = m.trace_cause;
   session.epoch = m.epoch;
   session.window = m.window;
 }
@@ -339,10 +340,12 @@ void Hsm::on_ingress_reached(sim::Address dst, sim::NodeId router, int port) {
 }
 
 void Hsm::on_local_capture(sim::Address dst, sim::NodeId host) {
+  std::uint64_t cause = 0;
   if (const auto it = sessions_.find(dst); it != sessions_.end()) {
     ++it->second.captures;
+    cause = it->second.trace_cause;
   }
-  defense_.on_capture(host, dst);
+  defense_.on_capture(host, dst, cause);
 }
 
 void Hsm::send_local_request(sim::NodeId from_router, sim::NodeId to_router,

@@ -150,6 +150,7 @@ class Hsm {
   struct HsmSession {
     std::size_t epoch = 0;
     SessionWindow window;
+    std::uint64_t trace_cause = 0;  // of the request that opened it
     std::set<net::AsId> propagated_upstream;
     std::set<sim::NodeId> local_sessions;  // routers tracing intra-AS
     std::uint64_t captures = 0;  // attack hosts cut off under this session

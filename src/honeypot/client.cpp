@@ -56,9 +56,9 @@ sim::Address RoamingClient::next_destination() {
 
   if (epoch != cached_epoch_) {
     cached_epoch_ = epoch;
-    const auto actives = schedule_.active_servers(epoch);
-    HBP_ASSERT_MSG(!actives.empty(), "schedule produced an empty active set");
-    const int chosen = actives[rng_.below(actives.size())];
+    const Schedule::Mask actives = schedule_.active_mask(epoch);
+    HBP_ASSERT_MSG(actives != 0, "schedule produced an empty active set");
+    const int chosen = nth_server(actives, rng_.below(std::popcount(actives)));
     if (chosen != current_server_) {
       current_server_ = chosen;
       ++migrations_;

@@ -6,12 +6,13 @@
 // the same active set; an outside attacker cannot predict it.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "honeypot/hash_chain.hpp"
 #include "sim/time.hpp"
+#include "util/assert.hpp"
 
 namespace hbp::honeypot {
 
@@ -30,23 +31,47 @@ struct SessionWindow {
 
 class Schedule {
  public:
+  // One bit per server: bit s is set when server s is active.
+  using Mask = std::uint64_t;
+  static constexpr int kMaxServers = 64;
+
   virtual ~Schedule() = default;
 
-  virtual int server_count() const = 0;
-  virtual sim::SimTime epoch_length() const = 0;
+  // The active set of an epoch; epoch indices start at 1 (epoch i covers
+  // [(i-1)*m, i*m)).  Each query seeds its own Rng from K_i, so it draws
+  // from no shared stream and allocates nothing.
+  virtual Mask active_mask(std::size_t epoch) const = 0;
 
-  // Active-set query; epoch indices start at 1 (epoch i covers
-  // [(i-1)*m, i*m)).
-  virtual bool is_active(int server, std::size_t epoch) const = 0;
-  virtual std::vector<int> active_servers(std::size_t epoch) const = 0;
-
-  // Probability that a given server is a honeypot in a given epoch.
-  virtual double honeypot_probability() const = 0;
+  bool is_active(int server, std::size_t epoch) const {
+    HBP_ASSERT(server >= 0 && server < n_);
+    return (active_mask(epoch) >> server) & 1;
+  }
+  int server_count() const { return n_; }
+  sim::SimTime epoch_length() const { return m_; }
 
   std::size_t epoch_of(sim::SimTime t) const;
   sim::SimTime epoch_start(std::size_t epoch) const;
   sim::SimTime epoch_end(std::size_t epoch) const;
+
+ protected:
+  Schedule(std::shared_ptr<const HashChain> chain, int n_servers,
+           sim::SimTime epoch_length);
+
+  // The Rng seed of epoch `epoch`: the first 8 bytes of K_i.
+  std::uint64_t epoch_seed(std::size_t epoch) const;
+
+ private:
+  std::shared_ptr<const HashChain> chain_;
+  int n_;
+  sim::SimTime m_;
 };
+
+// The server that is the i-th lowest set bit of `active` (i < its popcount):
+// a client that draws i uniformly picks a uniform active server.
+inline int nth_server(Schedule::Mask active, std::uint64_t i) {
+  for (; i > 0; --i) active &= active - 1;
+  return std::countr_zero(active);
+}
 
 // The paper's k-of-N roaming schedule.
 class RoamingSchedule final : public Schedule {
@@ -54,22 +79,10 @@ class RoamingSchedule final : public Schedule {
   RoamingSchedule(std::shared_ptr<const HashChain> chain, int n_servers,
                   int k_active, sim::SimTime epoch_length);
 
-  int server_count() const override { return n_; }
-  sim::SimTime epoch_length() const override { return m_; }
-  bool is_active(int server, std::size_t epoch) const override;
-  std::vector<int> active_servers(std::size_t epoch) const override;
-  double honeypot_probability() const override {
-    return static_cast<double>(n_ - k_) / static_cast<double>(n_);
-  }
-  int active_count() const { return k_; }
+  Mask active_mask(std::size_t epoch) const override;
 
  private:
-  std::uint64_t epoch_seed(std::size_t epoch) const;
-
-  std::shared_ptr<const HashChain> chain_;
-  int n_;
   int k_;
-  sim::SimTime m_;
 };
 
 // Single-server schedule where each epoch is independently a honeypot epoch
@@ -81,16 +94,10 @@ class BernoulliSchedule final : public Schedule {
   BernoulliSchedule(std::shared_ptr<const HashChain> chain, double p,
                     sim::SimTime epoch_length);
 
-  int server_count() const override { return 1; }
-  sim::SimTime epoch_length() const override { return m_; }
-  bool is_active(int server, std::size_t epoch) const override;
-  std::vector<int> active_servers(std::size_t epoch) const override;
-  double honeypot_probability() const override { return p_; }
+  Mask active_mask(std::size_t epoch) const override;
 
  private:
-  std::shared_ptr<const HashChain> chain_;
   double p_;
-  sim::SimTime m_;
 };
 
 }  // namespace hbp::honeypot

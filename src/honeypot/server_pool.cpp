@@ -56,35 +56,29 @@ void ServerPool::start() {
                 "honeypot.pool.epoch");
 }
 
-bool ServerPool::in_active_window(int server, sim::SimTime t) const {
-  // A server is "active" at t if some epoch e with is_active(server, e)
-  // has t within [start(e) - δ, end(e) + δ + γ].  Only the epochs adjacent
-  // to t can qualify.
+ServerPool::Role ServerPool::role_at(int server, sim::SimTime t) const {
+  // Active if the server is active in some epoch e' with t inside
+  // [start(e') - δ, end(e') + δ + γ]: t's own epoch e, or a neighbour of e
+  // when t is within the guard of their shared boundary.
   const std::size_t e = schedule_.epoch_of(t);
-  for (std::size_t cand = (e > 1 ? e - 1 : e); cand <= e + 1; ++cand) {
-    if (!schedule_.is_active(server, cand)) continue;
-    const sim::SimTime lo = schedule_.epoch_start(cand) - params_.delta;
-    const sim::SimTime hi =
-        schedule_.epoch_end(cand) + params_.delta + params_.gamma;
-    if (t >= lo && t <= hi) return true;
+  if (schedule_.is_active(server, e)) return Role::kActive;
+  if (e > 1 && t <= schedule_.epoch_start(e) + params_.delta + params_.gamma &&
+      schedule_.is_active(server, e - 1)) {
+    return Role::kActive;
   }
-  return false;
-}
-
-bool ServerPool::in_honeypot_window(int server, sim::SimTime t) const {
-  const std::size_t e = schedule_.epoch_of(t);
-  if (schedule_.is_active(server, e)) return false;
-  if (in_active_window(server, t)) return false;  // grace of adjacent epochs
-  return honeypot_window(e).contains(t);
+  if (t >= schedule_.epoch_end(e) - params_.delta &&
+      schedule_.is_active(server, e + 1)) {
+    return Role::kActive;
+  }
+  return honeypot_window(e).contains(t) ? Role::kHoneypot : Role::kGuard;
 }
 
 void ServerPool::on_epoch(std::size_t epoch) {
+  const Schedule::Mask active_now = schedule_.active_mask(epoch);
+  const Schedule::Mask active_before =
+      epoch > 1 ? schedule_.active_mask(epoch - 1) : active_now;
   for (int s = 0; s < server_count(); ++s) {
-    const bool active_now = schedule_.is_active(s, epoch);
-    const bool active_before =
-        epoch > 1 ? schedule_.is_active(s, epoch - 1) : active_now;
-
-    if (active_now) continue;
+    if ((active_now >> s) & 1) continue;
 
     // Schedule the honeypot observation window.
     const SessionWindow window = honeypot_window(epoch);
@@ -107,7 +101,7 @@ void ServerPool::on_epoch(std::size_t epoch) {
         },
         "honeypot.pool.window");
 
-    if (active_before) {
+    if ((active_before >> s) & 1) {
       // Role change active -> honeypot: checkpoint connections once the
       // grace period of the previous epoch expires.
       simulator_.at(window.start, [this, s] { checkpoint_server(s); },
@@ -134,55 +128,13 @@ void ServerPool::checkpoint_server(int server) {
 
 void ServerPool::handle_packet(int server, const sim::Packet& p) {
   const sim::SimTime now = simulator_.now();
-
-  if (in_active_window(server, now)) {
-    // Normal service.
-    if (!tcp_.empty() && tcp_[static_cast<std::size_t>(server)]->handle(p)) {
-      if (p.type == sim::PacketType::kTcpData && !p.is_attack) {
-        legit_bytes_ += static_cast<std::uint64_t>(p.size_bytes);
-      }
-      for (const auto& fn : delivery_) fn(server, p);
-      return;
-    }
-    if (p.type == sim::PacketType::kHandshakeSyn) {
-      blacklist_.note_handshake(p.src);
-      sim::Packet ack;
-      ack.type = sim::PacketType::kHandshakeAck;
-      ack.src = addrs_[static_cast<std::size_t>(server)];
-      ack.dst = p.src;
-      ack.size_bytes = 64;
-      auto& host = static_cast<net::Host&>(
-          network_.node(nodes_[static_cast<std::size_t>(server)]));
-      host.send(std::move(ack));
-    }
-
-    if (p.is_attack) {
-      attack_bytes_served_ += static_cast<std::uint64_t>(p.size_bytes);
-    } else if (p.type == sim::PacketType::kData ||
-               p.type == sim::PacketType::kRequest) {
-      legit_bytes_ += static_cast<std::uint64_t>(p.size_bytes);
-      auto& conns = connections_[static_cast<std::size_t>(server)];
-      auto it = conns.find(p.src);
-      if (it == conns.end()) {
-        // New or migrated connection: resume from a checkpoint if one is
-        // pending, else open fresh state.
-        ConnectionState state;
-        if (auto resumed = store_.claim(p.src)) {
-          state = *resumed;
-        } else {
-          state.client = p.src;
-        }
-        state.server_index = server;
-        it = conns.emplace(p.src, state).first;
-      }
-      it->second.bytes += static_cast<std::uint64_t>(p.size_bytes);
-      it->second.last_update = now;
-    }
-    for (const auto& fn : delivery_) fn(server, p);
+  const Role role = role_at(server, now);
+  if (role == Role::kGuard) {
+    // Guard gap around role changes: tolerated, neither served nor reported.
+    ++grace_drops_;
     return;
   }
-
-  if (in_honeypot_window(server, now)) {
+  if (role == Role::kHoneypot) {
     ++honeypot_packets_;
     if (!p.is_attack) ++false_hits_;
     blacklist_.observed_at_honeypot(p.src);
@@ -193,8 +145,49 @@ void ServerPool::handle_packet(int server, const sim::Packet& p) {
     return;
   }
 
-  // Guard gap around role changes: tolerated, neither served nor reported.
-  ++grace_drops_;
+  // Normal service.
+  if (!tcp_.empty() && tcp_[static_cast<std::size_t>(server)]->handle(p)) {
+    if (p.type == sim::PacketType::kTcpData && !p.is_attack) {
+      legit_bytes_ += static_cast<std::uint64_t>(p.size_bytes);
+    }
+    for (const auto& fn : delivery_) fn(server, p);
+    return;
+  }
+  if (p.type == sim::PacketType::kHandshakeSyn) {
+    blacklist_.note_handshake(p.src);
+    sim::Packet ack;
+    ack.type = sim::PacketType::kHandshakeAck;
+    ack.src = addrs_[static_cast<std::size_t>(server)];
+    ack.dst = p.src;
+    ack.size_bytes = 64;
+    auto& host = static_cast<net::Host&>(
+        network_.node(nodes_[static_cast<std::size_t>(server)]));
+    host.send(std::move(ack));
+  }
+
+  if (p.is_attack) {
+    attack_bytes_served_ += static_cast<std::uint64_t>(p.size_bytes);
+  } else if (p.type == sim::PacketType::kData ||
+             p.type == sim::PacketType::kRequest) {
+    legit_bytes_ += static_cast<std::uint64_t>(p.size_bytes);
+    auto& conns = connections_[static_cast<std::size_t>(server)];
+    auto it = conns.find(p.src);
+    if (it == conns.end()) {
+      // New or migrated connection: resume from a checkpoint if one is
+      // pending, else open fresh state.
+      ConnectionState state;
+      if (auto resumed = store_.claim(p.src)) {
+        state = *resumed;
+      } else {
+        state.client = p.src;
+      }
+      state.server_index = server;
+      it = conns.emplace(p.src, state).first;
+    }
+    it->second.bytes += static_cast<std::uint64_t>(p.size_bytes);
+    it->second.last_update = now;
+  }
+  for (const auto& fn : delivery_) fn(server, p);
 }
 
 void ServerPool::add_honeypot_window_listener(WindowFn on_start, WindowFn on_end) {

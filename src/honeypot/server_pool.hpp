@@ -75,8 +75,11 @@ class ServerPool {
   const Schedule& schedule() const { return schedule_; }
   Blacklist& blacklist() { return blacklist_; }
 
-  bool in_active_window(int server, sim::SimTime t) const;
-  bool in_honeypot_window(int server, sim::SimTime t) const;
+  // What a packet arriving at `server` at t meets: service (an active
+  // epoch, which starts δ early and ends δ+γ late), the honeypot window of
+  // an inactive epoch, or the guard gap between the two.
+  enum class Role { kActive, kHoneypot, kGuard };
+  Role role_at(int server, sim::SimTime t) const;
 
   // The honeypot observation window of an inactive epoch: the epoch
   // shrunk by δ+γ at each end, so that no legitimate packet (bounded clock

@@ -29,10 +29,10 @@ void RoamingTcpClient::start() {
 }
 
 void RoamingTcpClient::retarget(std::size_t epoch) {
-  const auto actives = schedule_.active_servers(epoch);
-  HBP_ASSERT_MSG(!actives.empty(), "no active server to connect to");
+  const Schedule::Mask actives = schedule_.active_mask(epoch);
+  HBP_ASSERT_MSG(actives != 0, "no active server to connect to");
   if (current_server_ >= 0) ++migrations_;
-  current_server_ = actives[rng_.below(actives.size())];
+  current_server_ = nth_server(actives, rng_.below(std::popcount(actives)));
   sender_.connect(pool_.address(current_server_));
 }
 

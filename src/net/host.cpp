@@ -18,7 +18,6 @@ void Host::receive(sim::Packet&& p, int in_port) {
 void Host::send(sim::Packet&& p) {
   HBP_ASSERT_MSG(port_count() == 1, "hosts have exactly one access port");
   p.uid = network().next_packet_uid();
-  p.origin_node = id();
   sim::Simulator& simulator = network().simulator();
   p.sent_at = simulator.now();
   simulator.emit({p.sent_at, sim::TraceVerb::kSend, id(), p.uid, 0,

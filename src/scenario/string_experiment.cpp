@@ -54,7 +54,6 @@ StringResult run_string_experiment(const StringExperimentConfig& config,
 
   core::HbpParams hbp;
   hbp.progressive = config.progressive;
-  hbp.rho = config.rho;
   hbp.tau_estimate = sim::SimTime::seconds(config.tau);
   core::HbpDefense defense(simulator, network, control, pool, topo.as_map, hbp);
   defense.start();

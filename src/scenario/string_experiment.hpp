@@ -20,7 +20,6 @@ struct StringExperimentConfig : ObserveOptions {
   int packet_size = 1000;
   double tau = 0.5;          // control-plane per-hop latency (s)
   bool progressive = false;  // basic scheme by default (as in Fig. 6)
-  int rho = 5;
   std::optional<double> onoff_t_on;  // optional on-off attack
   double onoff_t_off = 0.0;
   std::optional<double> follower_delay;  // optional follower attack

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "honeypot/client.hpp"
+#include "net/control_plane.hpp"
 #include "traffic/follower.hpp"
 #include "traffic/onoff.hpp"
 #include "traffic/probe.hpp"
@@ -183,7 +184,7 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
   }
 
   // --- defense ---
-  net::ControlPlane::Params cp_params = config.control;
+  net::ControlPlane::Params cp_params;
   cp_params.seed = util::derive_seed(seed, 4);
   net::ControlPlane control(simulator, cp_params);
 

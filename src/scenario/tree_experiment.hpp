@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/defense.hpp"
-#include "net/control_plane.hpp"
 #include "pushback/agent.hpp"
 #include "scenario/metrics.hpp"
 #include "scenario/run_harness.hpp"
@@ -77,7 +76,6 @@ struct TreeExperimentConfig : ObserveOptions {
   double hbp_deploy_fraction = 1.0;  // <1 => random partial deployment
   pushback::PushbackParams pb;
   bool pb_weighted_by_hosts = false;  // Level-k max-min ablation
-  net::ControlPlane::Params control;
 };
 
 struct TreeResult : RunRecord {

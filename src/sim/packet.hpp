@@ -1,9 +1,8 @@
 // The simulated packet.
 //
 // The protocol-visible header carries a *spoofable* source address; the
-// ground-truth origin node is carried separately and must never be read by
-// protocol code (only by the metrics layer, to score captures).  Tests
-// enforce this separation by spoofing every attack packet and checking that
+// ground-truth fields must never be read by protocol code.  Tests enforce
+// this separation by spoofing every attack packet and checking that
 // defenses still localise the true origin.
 #pragma once
 
@@ -35,8 +34,7 @@ enum class PacketType : std::uint8_t {
 inline constexpr std::int32_t kNoMark = -1;
 
 // Fields are ordered by width (8-byte, 4-byte, then 1-byte) so the struct
-// packs into 72 bytes; ground-truth fields are marked and must never be
-// read by protocol logic.
+// fills one 64-byte cache line; ground-truth fields are marked.
 struct Packet {
   std::uint64_t uid = 0;           // unique per simulation, for tracing
   std::int64_t seq = 0;            // TCP-lite sequence number (byte offset)
@@ -47,7 +45,6 @@ struct Packet {
   Address dst = 0;
   std::int32_t size_bytes = 1000;
   std::int32_t mark = kNoMark;     // path mark (StackPi)
-  std::uint32_t flow = 0;          // flow identifier for per-flow accounting
 
   // Probabilistic packet marking (Savage et al. edge sampling, used by the
   // PPM traceback baseline): an edge (start, end) plus the hop distance
@@ -56,12 +53,10 @@ struct Packet {
   std::int32_t edge_end = kNoMark;
   std::int32_t edge_distance = 0;
 
-  NodeId origin_node = kInvalidNode;  // ground truth: who really sent it
-
   PacketType type = PacketType::kData;
   std::uint8_t ttl = 64;
   bool is_attack = false;  // ground truth: labeled by the traffic generator
 };
-static_assert(sizeof(Packet) == 72, "Packet has picked up padding");
+static_assert(sizeof(Packet) == 64, "Packet has picked up padding");
 
 }  // namespace hbp::sim

@@ -32,9 +32,9 @@ namespace hbp::sim {
 using NodeId = std::int32_t;  // matches sim/packet.hpp
 
 // What happened.  Data-plane verbs carry the packet uid in `id`;
-// control-plane verbs carry the uid of the packet that triggered the wave
-// (the honeypot hit / diverted packet) so a whole HBP back-propagation wave
-// can be reassembled as one causal tree by filtering on a single id.
+// control-plane verbs carry the uid of the packet that triggered the step
+// (the honeypot hit / diverted packet); a divert or capture carries the
+// cause of the request that opened its AS's session.
 enum class TraceVerb : std::uint8_t {
   // Data plane (src/net, src/transport).
   kSend = 0,        // host injected a packet       a=dst addr, b=type

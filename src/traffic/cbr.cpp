@@ -11,8 +11,7 @@ CbrSource::CbrSource(sim::Simulator& simulator, net::Host& host, util::Rng& rng,
       rng_(rng),
       params_(params),
       dst_fn_(std::move(dst_fn)),
-      spoof_(std::move(spoof)),
-      flow_id_(static_cast<std::uint32_t>(host.id())) {
+      spoof_(std::move(spoof)) {
   HBP_ASSERT(params.rate_bps > 0);
   HBP_ASSERT(params.packet_size > 0);
   interval_ = sim::transmission_time(params.packet_size, params.rate_bps);
@@ -45,7 +44,6 @@ void CbrSource::tick() {
       p.dst = dst;
       p.size_bytes = params_.packet_size;
       p.is_attack = params_.is_attack;
-      p.flow = flow_id_;
       ++sent_;
       bytes_sent_ += p.size_bytes;
       host_.send(std::move(p));

@@ -67,7 +67,6 @@ class CbrSource {
   bool paused_ = false;
   std::uint64_t sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
-  std::uint32_t flow_id_;
   std::optional<sim::EventId> next_tick_;
 };
 

@@ -1,12 +1,19 @@
 // Allocation audit for the packet hot path (no gtest: replacing the global
 // allocator must own the whole binary).
 //
-// Replaces global operator new/delete with counting wrappers, runs a
-// string-topology CBR flood to steady state, then asserts that a further
-// measurement window performs ZERO heap allocations — every packet hop
-// (host send, router forward, link queue, serialize/deliver events, receive)
-// must run entirely on recycled storage: in-place sim::Event closures, the
-// event-queue slab, and warm ring buffers.
+// Replaces global operator new/delete with counting wrappers and runs one
+// of two audits, named by the first argument:
+//
+//   packet_path  A string-topology CBR flood run to steady state; a further
+//                measurement window must perform ZERO heap allocations —
+//                every packet hop (host send, router forward, link queue,
+//                serialize/deliver events, receive) runs on recycled
+//                storage: in-place sim::Event closures, the event-queue
+//                slab, and warm ring buffers.
+//   tree_hbp     A reduced Fig. 8 tree run under HBP, with honeypot
+//                windows, HSM sessions and divert filters active.  Its
+//                run-phase allocations (the full run's minus those of the
+//                same run at zero horizon) must stay under a per-hop bound.
 //
 // Only meaningful in Release builds (debug-mode containers and iterator
 // bookkeeping allocate) and without sanitizers (ASan interposes the
@@ -83,8 +90,11 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
+#include <string_view>
+
 #include "net/host.hpp"
 #include "net/network.hpp"
+#include "scenario/tree_experiment.hpp"
 #include "sim/simulator.hpp"
 #include "topo/string_topo.hpp"
 #include "traffic/cbr.hpp"
@@ -139,9 +149,83 @@ void count_delivery(const hbp::sim::Packet&) { ++g_delivered; }
   return allocs;
 }
 
+// Reduced Fig. 8 under HBP: 120 leaves, the paper's 75 clients and 25
+// spoofing attackers at 1 Mb/s, k = 3 of 5 roaming servers, 30 s.
+hbp::scenario::TreeExperimentConfig tree_hbp_config(double horizon) {
+  hbp::scenario::TreeExperimentConfig config;
+  config.scheme = hbp::scenario::Scheme::kHbp;
+  config.tree.leaf_count = 120;
+  config.sim_seconds = horizon;
+  config.attack_start = 5.0;
+  config.attack_end = 25.0;
+  return config;
+}
+
+// Allocations a whole run makes, the run's result via out-param.
+std::uint64_t allocs_of_run(double horizon, hbp::scenario::TreeResult* out) {
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  *out = hbp::scenario::run_tree_experiment(tree_hbp_config(horizon), 2);
+  return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
+// The ceiling on run-phase allocations per packet hop.  What is left
+// under it grows with sessions and timers, not with packets: the 50-ms
+// switch-port harvest, HSM and router-agent sessions, divert filters,
+// control-message MACs, and queue rings and the event slab growing to
+// their peak.
+constexpr double kTreeAllocsPerHop = 0.01;
+
+[[maybe_unused]] bool audit_tree_hbp() {
+  using namespace hbp;
+  scenario::TreeResult setup;
+  scenario::TreeResult run;
+  const std::uint64_t setup_allocs = allocs_of_run(0.0, &setup);
+  const std::uint64_t run_allocs = allocs_of_run(30.0, &run) - setup_allocs;
+  const telemetry::Counter* transmitted =
+      run.telemetry->find_counter("net.packets.transmitted");
+  const std::uint64_t hops = transmitted != nullptr ? transmitted->value() : 0;
+  std::uint64_t diverted = 0;
+  run.telemetry->visit([&](const auto& name,
+                           const telemetry::Counter* c, const auto*,
+                           const auto*, const auto*) {
+    if (c != nullptr && name.starts_with("core.hsm.") &&
+        name.ends_with(".diverted")) {
+      diverted += c->value();
+    }
+  });
+  const double per_hop =
+      hops > 0 ? static_cast<double>(run_allocs) / static_cast<double>(hops)
+               : 0.0;
+  std::printf("%llu packet hops, %llu run-phase heap allocations "
+              "(%.5f per hop), %llu activations, %llu diverted, "
+              "%zu captured\n",
+              static_cast<unsigned long long>(hops),
+              static_cast<unsigned long long>(run_allocs), per_hop,
+              static_cast<unsigned long long>(run.hbp_activations),
+              static_cast<unsigned long long>(diverted), run.captured);
+  bool ok = true;
+  if (hops < 100000 || run.hbp_activations == 0 || diverted == 0) {
+    std::fprintf(stderr, "FAIL: the run did not exercise HBP sessions and "
+                         "diverts at scale\n");
+    ok = false;
+  }
+  if (per_hop > kTreeAllocsPerHop) {
+    std::fprintf(stderr,
+                 "FAIL: %.5f run-phase allocations per hop (bound %.2f)\n",
+                 per_hop, kTreeAllocsPerHop);
+    ok = false;
+  }
+  return ok;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const std::string_view audit = argc > 1 ? argv[1] : "";
+  if (audit != "packet_path" && audit != "tree_hbp") {
+    std::fprintf(stderr, "usage: %s packet_path|tree_hbp\n", argv[0]);
+    return 2;
+  }
 #if !defined(NDEBUG)
   std::fprintf(stderr,
                "SKIP: allocation audit requires a Release build "
@@ -151,6 +235,7 @@ int main() {
   std::fprintf(stderr, "SKIP: allocation audit is meaningless under ASan\n");
   return 77;
 #else
+  if (audit == "tree_hbp") return audit_tree_hbp() ? 0 : 1;
   std::uint64_t hops = 0;
   const std::uint64_t allocs = audit_packet_path(&hops);
   std::printf("%llu packet hops, %llu heap allocations in window\n",

@@ -7,7 +7,10 @@
 
 #include "scenario/string_experiment.hpp"
 
+#include <map>
 #include <memory>
+#include <set>
+#include <utility>
 
 #include "core/defense.hpp"
 #include "honeypot/schedule.hpp"
@@ -148,6 +151,66 @@ TEST_F(HbpStringFixture, CapturesSpoofingAttacker) {
   // The attacker's switch port is actually closed.
   auto& sw = static_cast<net::Switch&>(network.node(topo.attacker_switch));
   EXPECT_EQ(sw.closed_port_count(), 1u);
+}
+
+// The wave's cause reaches its effects: each AS session keeps the cause of
+// the request that opened it, and every divert and capture in that AS
+// carries it, so a cause query (`trace_query --id=`) follows the wave from
+// the honeypot hit to the capture.  Each upstream session's cause is the
+// uid of a divert that triggered it downstream.
+TEST_F(HbpStringFixture, DivertAndCaptureCarryTheirSessionCause) {
+  build(5, false, HbpParams{});
+  trace::Tracer tracer;
+  tracer.attach(simulator, &network);
+  attack();
+  simulator.run_until(sim::SimTime::seconds(120));
+  ASSERT_EQ(defense->captures().size(), 1u);
+
+  // (AS, epoch) -> cause of the session_open that opened the session.
+  std::map<std::pair<net::AsId, std::size_t>, std::uint64_t> opened;
+  std::set<std::uint64_t> divert_uids;
+  std::set<net::AsId> divert_ases;
+  std::size_t diverts = 0, captures = 0, upstream_opens = 0;
+  const net::AsId home = network.node(topo.server).as_id();
+  tracer.for_each([&](const sim::TraceEvent& e) {
+    switch (e.verb) {
+      case sim::TraceVerb::kSessionOpen: {
+        const auto key = std::make_pair(static_cast<net::AsId>(e.a),
+                                        static_cast<std::size_t>(e.b));
+        if (opened.try_emplace(key, e.cause).second && e.a != home) {
+          EXPECT_TRUE(divert_uids.contains(e.cause))
+              << "AS " << e.a << " opened by cause " << e.cause;
+          ++upstream_opens;
+        }
+        return;
+      }
+      case sim::TraceVerb::kDivert:
+      case sim::TraceVerb::kCapture: {
+        const net::AsId as = network.node(e.node).as_id();
+        const auto it = opened.find({as, schedule->epoch_of(e.t)});
+        ASSERT_NE(it, opened.end()) << sim::verb_name(e.verb) << " in AS "
+                                    << as << " with no session";
+        EXPECT_NE(e.cause, 0u);
+        EXPECT_EQ(e.cause, it->second)
+            << sim::verb_name(e.verb) << " at node " << e.node;
+        if (e.verb == sim::TraceVerb::kCapture) {
+          EXPECT_EQ(e.id, e.cause);
+          ++captures;
+        } else {
+          divert_uids.insert(e.id);
+          divert_ases.insert(as);
+          ++diverts;
+        }
+        return;
+      }
+      default:
+        return;
+    }
+  });
+  EXPECT_GT(diverts, 0u);
+  EXPECT_GT(divert_ases.size(), 2u);  // the wave crossed several ASs
+  EXPECT_GT(upstream_opens, 0u);
+  EXPECT_EQ(captures, 1u);
 }
 
 TEST_F(HbpStringFixture, CaptureStopsAttackTraffic) {

@@ -127,11 +127,18 @@ TEST_F(PoolFixture, AttackOnFixedServerHitsHoneypotWindows) {
 TEST_F(PoolFixture, WindowPredicatesAreExclusive) {
   pool->start();
   simulator.run_until(sim::SimTime::seconds(1));
+  // A server active in t's epoch is never a honeypot, and a honeypot role
+  // lies inside its epoch's honeypot window.
   for (int s = 0; s < kServers; ++s) {
     for (double t : {0.1, 2.5, 5.05, 7.0, 12.3, 26.0}) {
       const auto at = sim::SimTime::seconds(t);
-      EXPECT_FALSE(pool->in_active_window(s, at) &&
-                   pool->in_honeypot_window(s, at));
+      const std::size_t epoch = schedule->epoch_of(at);
+      const ServerPool::Role role = pool->role_at(s, at);
+      if (schedule->is_active(s, epoch)) {
+        EXPECT_EQ(role, ServerPool::Role::kActive);
+      } else if (role == ServerPool::Role::kHoneypot) {
+        EXPECT_TRUE(pool->honeypot_window(epoch).contains(at));
+      }
     }
   }
 }

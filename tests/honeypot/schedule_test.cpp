@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
+
+#include "util/rng.hpp"
 
 namespace hbp::honeypot {
 namespace {
@@ -11,27 +14,84 @@ std::shared_ptr<HashChain> chain() {
   return std::make_shared<HashChain>(util::Sha256::hash("sched"), 512);
 }
 
+// The per-epoch seed, derived here independently of the schedule: the first
+// 8 bytes of K_i, big-endian, with epochs past the chain wrapping around.
+std::uint64_t reference_seed(const HashChain& c, std::size_t epoch) {
+  const util::Digest& key = c.key(((epoch - 1) % c.length()) + 1);
+  std::uint64_t s = 0;
+  for (std::size_t i = 0; i < 8; ++i) s = (s << 8) | key[i];
+  return s;
+}
+
+// The active set as util::Rng::choose draws it from the epoch's seed.
+Schedule::Mask reference_mask(const HashChain& c, int n, int k,
+                              std::size_t epoch) {
+  util::Rng rng(reference_seed(c, epoch));
+  Schedule::Mask mask = 0;
+  for (const std::size_t s : rng.choose(static_cast<std::size_t>(n),
+                                        static_cast<std::size_t>(k))) {
+    mask |= Schedule::Mask{1} << s;
+  }
+  return mask;
+}
+
+constexpr std::size_t kReferenceEpochs = 1200;  // wraps the 512-key chain
+
+TEST(RoamingSchedule, ActiveMaskMatchesRngChoose) {
+  const auto c = chain();
+  std::vector<std::pair<int, int>> shapes;
+  for (int n = 1; n <= 8; ++n) {
+    for (int k = 1; k <= n; ++k) shapes.emplace_back(n, k);
+  }
+  const int widest = Schedule::kMaxServers;
+  for (const int k : {1, 3, widest / 2, widest - 1, widest}) {
+    shapes.emplace_back(widest, k);
+  }
+  for (const auto& [n, k] : shapes) {
+    RoamingSchedule s(c, n, k, sim::SimTime::seconds(10));
+    for (std::size_t e = 1; e <= kReferenceEpochs; ++e) {
+      ASSERT_EQ(s.active_mask(e), reference_mask(*c, n, k, e))
+          << "n=" << n << " k=" << k << " epoch " << e;
+    }
+  }
+}
+
+TEST(BernoulliSchedule, ActiveMaskMatchesRngBernoulli) {
+  const auto c = chain();
+  for (const double p : {0.0, 0.1, 0.3, 0.5, 0.9, 1.0}) {
+    BernoulliSchedule s(c, p, sim::SimTime::seconds(10));
+    for (std::size_t e = 1; e <= kReferenceEpochs; ++e) {
+      util::Rng rng(reference_seed(*c, e));
+      ASSERT_EQ(s.active_mask(e), rng.bernoulli(p) ? 0u : 1u)
+          << "p=" << p << " epoch " << e;
+    }
+  }
+}
+
 TEST(RoamingSchedule, ExactlyKActivePerEpoch) {
   RoamingSchedule s(chain(), 5, 3, sim::SimTime::seconds(10));
   for (std::size_t e = 1; e <= 100; ++e) {
-    const auto active = s.active_servers(e);
-    EXPECT_EQ(active.size(), 3u);
-    for (const int a : active) {
-      EXPECT_GE(a, 0);
-      EXPECT_LT(a, 5);
-      EXPECT_TRUE(s.is_active(a, e));
-    }
+    const Schedule::Mask active = s.active_mask(e);
+    EXPECT_EQ(std::popcount(active), 3);
+    EXPECT_EQ(active >> 5, 0u);  // only servers 0..4
   }
 }
 
 TEST(RoamingSchedule, IsActiveConsistentWithActiveSet) {
   RoamingSchedule s(chain(), 5, 3, sim::SimTime::seconds(10));
   for (std::size_t e = 1; e <= 50; ++e) {
-    int active_count = 0;
+    const Schedule::Mask active = s.active_mask(e);
     for (int srv = 0; srv < 5; ++srv) {
-      active_count += s.is_active(srv, e) ? 1 : 0;
+      EXPECT_EQ(s.is_active(srv, e), ((active >> srv) & 1) != 0);
     }
-    EXPECT_EQ(active_count, 3);
+    // nth_server walks the set bits in ascending order.
+    int prev = -1;
+    for (int i = 0; i < 3; ++i) {
+      const int srv = nth_server(active, static_cast<std::uint64_t>(i));
+      EXPECT_GT(srv, prev);
+      EXPECT_TRUE(s.is_active(srv, e));
+      prev = srv;
+    }
   }
 }
 
@@ -39,16 +99,16 @@ TEST(RoamingSchedule, DeterministicAcrossInstances) {
   RoamingSchedule a(chain(), 5, 3, sim::SimTime::seconds(10));
   RoamingSchedule b(chain(), 5, 3, sim::SimTime::seconds(10));
   for (std::size_t e = 1; e <= 100; ++e) {
-    EXPECT_EQ(a.active_servers(e), b.active_servers(e));
+    EXPECT_EQ(a.active_mask(e), b.active_mask(e));
   }
 }
 
 TEST(RoamingSchedule, SetsVaryAcrossEpochs) {
   RoamingSchedule s(chain(), 5, 3, sim::SimTime::seconds(10));
   int changes = 0;
-  auto prev = s.active_servers(1);
+  Schedule::Mask prev = s.active_mask(1);
   for (std::size_t e = 2; e <= 100; ++e) {
-    const auto cur = s.active_servers(e);
+    const Schedule::Mask cur = s.active_mask(e);
     if (cur != prev) ++changes;
     prev = cur;
   }
@@ -56,8 +116,8 @@ TEST(RoamingSchedule, SetsVaryAcrossEpochs) {
 }
 
 TEST(RoamingSchedule, HoneypotProbabilityMatchesFrequency) {
+  // A server is a honeypot in a fraction (N-k)/N = 0.4 of the epochs.
   RoamingSchedule s(chain(), 5, 3, sim::SimTime::seconds(10));
-  EXPECT_DOUBLE_EQ(s.honeypot_probability(), 0.4);
   int honeypot_epochs = 0;
   const int epochs = 500;
   for (std::size_t e = 1; e <= epochs; ++e) {
@@ -68,6 +128,8 @@ TEST(RoamingSchedule, HoneypotProbabilityMatchesFrequency) {
 
 TEST(RoamingSchedule, EpochArithmetic) {
   RoamingSchedule s(chain(), 5, 3, sim::SimTime::seconds(10));
+  EXPECT_EQ(s.server_count(), 5);
+  EXPECT_EQ(s.epoch_length(), sim::SimTime::seconds(10));
   EXPECT_EQ(s.epoch_of(sim::SimTime::zero()), 1u);
   EXPECT_EQ(s.epoch_of(sim::SimTime::seconds(9.999)), 1u);
   EXPECT_EQ(s.epoch_of(sim::SimTime::seconds(10)), 2u);
@@ -79,9 +141,8 @@ TEST(RoamingSchedule, EpochArithmetic) {
 
 TEST(RoamingSchedule, AllActiveWhenKEqualsN) {
   RoamingSchedule s(chain(), 5, 5, sim::SimTime::seconds(10));
-  EXPECT_DOUBLE_EQ(s.honeypot_probability(), 0.0);
   for (std::size_t e = 1; e <= 20; ++e) {
-    EXPECT_EQ(s.active_servers(e).size(), 5u);
+    EXPECT_EQ(s.active_mask(e), 0b11111u);
   }
 }
 
@@ -97,8 +158,8 @@ TEST_P(ScheduleFairness, EveryServerActiveAtRateKOverN) {
   const int epochs = 2000;
   std::vector<int> active_count(static_cast<std::size_t>(n), 0);
   for (std::size_t e = 1; e <= epochs; ++e) {
-    for (const int srv : s.active_servers(e)) {
-      ++active_count[static_cast<std::size_t>(srv)];
+    for (int srv = 0; srv < n; ++srv) {
+      active_count[static_cast<std::size_t>(srv)] += s.is_active(srv, e);
     }
   }
   const double expected = static_cast<double>(k) / n;
@@ -119,7 +180,7 @@ INSTANTIATE_TEST_SUITE_P(NK, ScheduleFairness,
 
 TEST(BernoulliSchedule, FrequencyMatchesP) {
   BernoulliSchedule s(chain(), 0.3, sim::SimTime::seconds(10));
-  EXPECT_DOUBLE_EQ(s.honeypot_probability(), 0.3);
+  EXPECT_EQ(s.server_count(), 1);
   int honeypots = 0;
   const int epochs = 500;
   for (std::size_t e = 1; e <= epochs; ++e) {
@@ -131,8 +192,9 @@ TEST(BernoulliSchedule, FrequencyMatchesP) {
 TEST(BernoulliSchedule, ActiveSetMatchesIsActive) {
   BernoulliSchedule s(chain(), 0.5, sim::SimTime::seconds(5));
   for (std::size_t e = 1; e <= 50; ++e) {
-    const auto active = s.active_servers(e);
-    EXPECT_EQ(active.empty(), !s.is_active(0, e));
+    const Schedule::Mask active = s.active_mask(e);
+    EXPECT_LE(active, 1u);  // one server, one bit
+    EXPECT_EQ(active == 0, !s.is_active(0, e));
   }
 }
 

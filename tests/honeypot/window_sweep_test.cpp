@@ -1,5 +1,5 @@
-// Property sweep over schedules and epochs: the server pool's window
-// predicates partition time correctly for every server, epoch, and guard
+// Property sweep over schedules and epochs: the server pool's role check
+// partitions time correctly for every server, epoch, and guard
 // configuration.
 #include <gtest/gtest.h>
 
@@ -40,7 +40,8 @@ TEST_P(WindowSweep, PredicatesPartitionTime) {
   ServerPool pool(simulator, network, schedule, nodes, addrs, store, params);
 
   // The honeypot window of every inactive epoch is the epoch shrunk by δ+γ
-  // at each end, and the window predicate holds exactly on its bounds.
+  // at each end, and the honeypot role holds exactly on its bounds.
+  using Role = ServerPool::Role;
   const sim::SimTime guard = params.delta + params.gamma;
   const sim::SimTime tick = sim::SimTime::micros(1);
   for (std::size_t epoch = 1; epoch <= 20; ++epoch) {
@@ -49,10 +50,10 @@ TEST_P(WindowSweep, PredicatesPartitionTime) {
     ASSERT_EQ(window.end, schedule.epoch_end(epoch) - guard);
     for (int s = 0; s < n; ++s) {
       if (schedule.is_active(s, epoch)) continue;
-      ASSERT_TRUE(pool.in_honeypot_window(s, window.start + tick));
-      ASSERT_TRUE(pool.in_honeypot_window(s, window.end));
-      ASSERT_FALSE(pool.in_honeypot_window(s, window.start - tick));
-      ASSERT_FALSE(pool.in_honeypot_window(s, window.end + tick));
+      ASSERT_EQ(pool.role_at(s, window.start + tick), Role::kHoneypot);
+      ASSERT_EQ(pool.role_at(s, window.end), Role::kHoneypot);
+      ASSERT_NE(pool.role_at(s, window.start - tick), Role::kHoneypot);
+      ASSERT_NE(pool.role_at(s, window.end + tick), Role::kHoneypot);
     }
   }
 
@@ -61,21 +62,22 @@ TEST_P(WindowSweep, PredicatesPartitionTime) {
     const auto at = sim::SimTime::seconds(t);
     const auto epoch = schedule.epoch_of(at);
     for (int s = 0; s < n; ++s) {
-      const bool active = pool.in_active_window(s, at);
-      const bool honeypot = pool.in_honeypot_window(s, at);
-      // Never both.
-      ASSERT_FALSE(active && honeypot) << "t=" << t << " s=" << s;
-      // Inside an epoch, away from boundaries by more than the guards, the
-      // state is determined by the schedule.
+      const Role role = pool.role_at(s, at);
+      // A server active in t's epoch serves; a honeypot role lies inside
+      // the epoch's honeypot window.
+      if (schedule.is_active(s, epoch)) {
+        ASSERT_EQ(role, Role::kActive) << "t=" << t << " s=" << s;
+      } else if (role == Role::kHoneypot) {
+        ASSERT_TRUE(pool.honeypot_window(epoch).contains(at))
+            << "t=" << t << " s=" << s;
+      }
+      // Inside an inactive epoch, away from boundaries by more than the
+      // guards, the server is a honeypot.
       const double into = t - schedule.epoch_start(epoch).to_seconds();
       const double left = schedule.epoch_end(epoch).to_seconds() - t;
       const double guard = 0.2;  // > delta + gamma
-      if (into > guard && left > guard) {
-        if (schedule.is_active(s, epoch)) {
-          ASSERT_TRUE(active) << "t=" << t << " s=" << s;
-        } else {
-          ASSERT_TRUE(honeypot) << "t=" << t << " s=" << s;
-        }
+      if (into > guard && left > guard && !schedule.is_active(s, epoch)) {
+        ASSERT_EQ(role, Role::kHoneypot) << "t=" << t << " s=" << s;
       }
     }
   }

@@ -29,7 +29,7 @@ struct LinkFixture : public ::testing::Test {
     sim::Packet p;
     p.dst = b->address();
     p.size_bytes = bytes;
-    p.flow = static_cast<std::uint32_t>(tag);
+    p.seq = tag;  // the receiver reads the tag back
     a->send(std::move(p));
   }
 
@@ -40,14 +40,14 @@ struct LinkFixture : public ::testing::Test {
 };
 
 TEST_F(LinkFixture, MixedSizesStayFifo) {
-  std::vector<std::uint32_t> order;
-  auto on_packet = [&](const sim::Packet& p) { order.push_back(p.flow); };
+  std::vector<std::int64_t> order;
+  auto on_packet = [&](const sim::Packet& p) { order.push_back(p.seq); };
   b->set_receiver(on_packet);
   send(4000, 1);
   send(100, 2);
   send(2000, 3);
   simulator.run_until(sim::SimTime::seconds(1));
-  EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 2, 3}));
+  EXPECT_EQ(order, (std::vector<std::int64_t>{1, 2, 3}));
 }
 
 TEST_F(LinkFixture, SerializationTimesScaleWithSize) {

@@ -75,17 +75,6 @@ TEST_F(TwoHostsFixture, SerializationQueuesBackToBack) {
   EXPECT_EQ(arrivals[1] - arrivals[0], sim::SimTime::millis(1));
 }
 
-TEST_F(TwoHostsFixture, GroundTruthOriginStamped) {
-  sim::NodeId origin = sim::kInvalidNode;
-  auto on_packet = [&](const sim::Packet& p) { origin = p.origin_node; };
-  b->set_receiver(on_packet);
-  sim::Packet p = make_packet(b->address());
-  p.src = 0xdeadbeef;  // spoofed: origin must still be the real sender
-  a->send(std::move(p));
-  simulator.run_until(sim::SimTime::seconds(1));
-  EXPECT_EQ(origin, a->id());
-}
-
 TEST_F(TwoHostsFixture, TtlExpiryDropsPacket) {
   int received = 0;
   auto on_packet = [&](const sim::Packet&) { ++received; };
