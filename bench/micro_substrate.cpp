@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the substrate hot paths: the event
 // queue (push/pop with and without packet payloads, cancellation churn, a
 // hold-model steady state), SHA-256 / HMAC / hash-chain generation, router
-// forwarding, and the max-min allocator.  These bound the simulator's
-// throughput (events/s).
+// forwarding, route computation on the Fig. 8 tree, and the max-min
+// allocator.  These bound the simulator's throughput (events/s) and set-up.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -11,6 +11,7 @@
 #include <string_view>
 #include <vector>
 
+#include "bench/bench_util.hpp"
 #include "honeypot/hash_chain.hpp"
 #include "net/host.hpp"
 #include "net/network.hpp"
@@ -20,6 +21,7 @@
 #include "sim/packet.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/report.hpp"
+#include "topo/tree.hpp"
 #include "util/rng.hpp"
 #include "util/sha256.hpp"
 
@@ -196,6 +198,21 @@ void BM_RouterForwarding(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
 }
 BENCHMARK(BM_RouterForwarding);
+
+// Route computation alone on the paper workloads' 300-leaf tree, built once.
+void BM_ComputeRoutes(benchmark::State& state) {
+  hbp::sim::Simulator simulator;
+  hbp::net::Network network(simulator);
+  hbp::util::Rng rng(1);
+  hbp::topo::build_tree(network, rng, hbp::bench::default_tree_config().tree);
+  for (auto _ : state) {
+    network.compute_routes();
+    benchmark::DoNotOptimize(network.route_port(0, 1));
+    benchmark::ClobberMemory();
+  }
+  state.counters["nodes"] = static_cast<double>(network.node_count());
+}
+BENCHMARK(BM_ComputeRoutes)->Unit(benchmark::kMillisecond);
 
 void BM_MaxMinAllocate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -57,7 +57,9 @@ void HbpRouterAgent::harvest(sim::Address dst, int switch_port) {
 
   auto& sw = hsm_.switch_node(
       router_.neighbor(static_cast<std::size_t>(switch_port)));
-  for (const int port : sw.ports_sending_to(dst)) {
+  // Collected before any close: a capture can end the session and its watch.
+  sw.ports_sending_to(dst, harvest_ports_);
+  for (const int port : harvest_ports_) {
     if (sw.is_closed(port)) continue;
     const sim::NodeId host = sw.attached_host(port);
     if (host == sim::kInvalidNode) continue;  // uplink port

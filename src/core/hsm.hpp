@@ -79,6 +79,7 @@ class HbpRouterAgent final : public net::ForwardTap {
   net::Router& router_;
   std::map<sim::Address, LocalSession> sessions_;
   std::vector<std::unique_ptr<PortBlock>> blocks_;
+  std::vector<int> harvest_ports_;  // reused by every harvest tick
 };
 
 class Hsm {

@@ -1,6 +1,5 @@
 #include "net/network.hpp"
 
-#include <deque>
 #include <string>
 
 #include "telemetry/registry.hpp"
@@ -40,47 +39,44 @@ sim::NodeId Network::node_of(sim::Address a) const {
 void Network::compute_routes() {
   const std::size_t n = nodes_.size();
   const std::size_t m = addr_to_node_.size();
-  routes_.assign(n, std::vector<std::int32_t>(m, -1));
 
-  // One BFS per destination address, rooted at the destination host.  The
-  // next hop from v toward the root is v's BFS parent; the out-port is the
-  // port of that parent neighbor (first match for determinism).
-  std::vector<std::int32_t> dist(n);
-  std::deque<sim::NodeId> frontier;
+  // Flat adjacency: u's ports are adj[first[u] .. first[u + 1]) in port order,
+  // each the neighbour and the neighbour's port back to u.
+  struct Edge { sim::NodeId to; std::int16_t back; };
+  std::vector<std::size_t> first(n + 1, 0);
+  std::vector<Edge> adj;
+  for (std::size_t u = 0; u < n; ++u) {
+    HBP_ASSERT_MSG(links_[u].size() <= INT16_MAX, "ports must fit the int16 table");
+    for (std::size_t port = 0; port < links_[u].size(); ++port) {
+      adj.push_back({nodes_[u]->neighbor(port),
+                     static_cast<std::int16_t>(links_[u][port]->to_port())});
+    }
+    first[u + 1] = adj.size();
+  }
+
+  // One BFS per address from its node.  v's entry is the back port of its
+  // first BFS parent's first port to v, which `connect` made v's first port
+  // to that parent.  The address's own entries mark the nodes seen; the root
+  // holds a placeholder while its search runs.
+  routes_.assign(n * m, -1);
+  std::vector<sim::NodeId> frontier(n);
   for (std::size_t ai = 0; ai < m; ++ai) {
+    std::int16_t* const column = routes_.data() + ai;
     const sim::NodeId root = addr_to_node_[ai];
-    dist.assign(n, -1);
-    dist[static_cast<std::size_t>(root)] = 0;
-    frontier.clear();
-    frontier.push_back(root);
-    while (!frontier.empty()) {
-      const sim::NodeId u = frontier.front();
-      frontier.pop_front();
-      const Node& nu = node(u);
-      for (std::size_t port = 0; port < nu.neighbors_.size(); ++port) {
-        const sim::NodeId v = nu.neighbors_[port];
-        if (dist[static_cast<std::size_t>(v)] != -1) continue;
-        dist[static_cast<std::size_t>(v)] = dist[static_cast<std::size_t>(u)] + 1;
-        // Next hop from v toward root is u; find v's port to u.
-        const Node& nv = node(v);
-        for (std::size_t vport = 0; vport < nv.neighbors_.size(); ++vport) {
-          if (nv.neighbors_[vport] == u) {
-            routes_[static_cast<std::size_t>(v)][ai] =
-                static_cast<std::int32_t>(vport);
-            break;
-          }
-        }
-        frontier.push_back(v);
+    column[static_cast<std::size_t>(root) * m] = 0;
+    frontier[0] = root;
+    for (std::size_t head = 0, tail = 1; head < tail; ++head) {
+      const auto u = static_cast<std::size_t>(frontier[head]);
+      for (std::size_t e = first[u]; e < first[u + 1]; ++e) {
+        std::int16_t& entry = column[static_cast<std::size_t>(adj[e].to) * m];
+        if (entry != -1) continue;
+        entry = adj[e].back;
+        frontier[tail++] = adj[e].to;
       }
     }
+    column[static_cast<std::size_t>(root) * m] = -1;
   }
   routes_valid_ = true;
-}
-
-int Network::route_port(sim::NodeId from, sim::Address dst) const {
-  HBP_ASSERT_MSG(routes_valid_, "compute_routes() must run before forwarding");
-  HBP_ASSERT(dst >= 1 && dst <= addr_to_node_.size());
-  return routes_[static_cast<std::size_t>(from)][dst - 1];
 }
 
 int Network::hop_distance(sim::NodeId from, sim::Address dst) const {

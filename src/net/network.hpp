@@ -1,8 +1,11 @@
 // The Network owns every node and link, assigns addresses, computes static
 // shortest-path routes, and moves packets between links and nodes.
 //
-// Routing is recomputed once after topology construction (the paper's
-// scenarios are static trees); routers then answer next-hop lookups in O(1).
+// Routes are computed once, after topology construction (the paper's
+// scenarios are static trees), into one int16_t table of out-ports indexed
+// `from * A + (dst - 1)` for A addresses, so a next hop is one load.  An
+// entry points at `from`'s first parent in a BFS from dst's node over ports
+// in port order; -1 marks an unreachable node and dst's own node.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +17,7 @@
 #include "net/node.hpp"
 #include "sim/packet.hpp"
 #include "sim/simulator.hpp"
+#include "util/assert.hpp"
 
 namespace hbp::telemetry {
 class Registry;
@@ -66,7 +70,11 @@ class Network {
   sim::NodeId node_of(sim::Address a) const;
 
   // Out-port of `from` toward address `dst`, or -1 if unreachable.
-  int route_port(sim::NodeId from, sim::Address dst) const;
+  int route_port(sim::NodeId from, sim::Address dst) const {
+    HBP_ASSERT_MSG(routes_valid_, "compute_routes() must run before forwarding");
+    HBP_ASSERT(dst >= 1 && dst <= addr_to_node_.size());
+    return routes_[static_cast<std::size_t>(from) * addr_to_node_.size() + dst - 1];
+  }
 
   // Hop distance between a node and an address (router hops + host links),
   // or -1 if unreachable; walks the routes, so O(distance).
@@ -122,8 +130,8 @@ class Network {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::vector<std::unique_ptr<Link>>> links_;  // [node][port]
   std::vector<sim::NodeId> addr_to_node_;  // index == address - 1
-  // routes_[node][address - 1] = out port toward that address (-1 none).
-  std::vector<std::vector<std::int32_t>> routes_;
+  // routes_[node * A + address - 1] = out port toward that address (-1 none).
+  std::vector<std::int16_t> routes_;
   bool routes_valid_ = false;
   std::uint64_t uid_counter_ = 0;
   Counters counters_;

@@ -44,7 +44,6 @@ class Node {
 
   std::size_t port_count() const { return neighbors_.size(); }
   sim::NodeId neighbor(std::size_t port) const { return neighbors_[port]; }
-  const std::vector<sim::NodeId>& neighbors() const { return neighbors_; }
 
   Network& network() const { return *network_; }
 

@@ -34,15 +34,13 @@ void Switch::start_watch(sim::Address dst) { watches_.try_emplace(dst); }
 
 void Switch::stop_watch(sim::Address dst) { watches_.erase(dst); }
 
-std::vector<int> Switch::ports_sending_to(sim::Address dst) const {
-  std::vector<int> out;
+void Switch::ports_sending_to(sim::Address dst, std::vector<int>& out) const {
+  out.clear();
   if (auto it = watches_.find(dst); it != watches_.end()) {
-    out.reserve(it->second.size());
     for (const auto& [port, count] : it->second) {
       if (count > 0) out.push_back(port);
     }
   }
-  return out;
 }
 
 sim::NodeId Switch::attached_host(int port) const {

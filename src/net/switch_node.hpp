@@ -37,8 +37,9 @@ class Switch final : public Node {
   void stop_watch(sim::Address dst);
   bool watching(sim::Address dst) const { return watches_.contains(dst); }
 
-  // Ports that sent at least one frame to `dst` since the watch started.
-  std::vector<int> ports_sending_to(sim::Address dst) const;
+  // Fills `out` (cleared first; the caller reuses it) with the ports that
+  // sent at least one frame to `dst` since the watch started, in port order.
+  void ports_sending_to(sim::Address dst, std::vector<int>& out) const;
 
   // The host node attached on `port` (kInvalidNode if the neighbor is not a
   // host, e.g. the uplink).

@@ -58,7 +58,6 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
   util::Rng chain_rng(util::derive_seed(seed, 3));
 
   topo::Tree tree = topo::build_tree(network, topo_rng, config.tree);
-  network.compute_routes();
 
   // --- attacker / client placement ---
   const std::size_t leaves = tree.leaf_hosts.size();
@@ -129,7 +128,6 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
                    "scenario.tcp.connect");
       ++placed;
     }
-    network.compute_routes();  // new hosts need routes
 
     auto total_delivered = [&tcp_receivers] {
       std::int64_t total = 0;
@@ -146,7 +144,7 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
                  [&, total_delivered] { tcp_delivered_at_end = total_delivered(); },
                  "scenario.tcp.sample");
   }
-
+  network.compute_routes();  // once, after the download servers are attached
 
   // --- roaming pool ---
   util::Digest tail{};
@@ -203,18 +201,12 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
       // Level-k flavour: weight each router port by the number of leaf
       // hosts reachable upstream through it.
       for (const sim::NodeId r : routers) {
-        const net::Node& node = network.node(r);
-        std::vector<double> weights(node.port_count(), 1.0);
-        for (std::size_t port = 0; port < node.port_count(); ++port) {
-          double hosts = 0;
-          for (std::size_t leaf = 0; leaf < leaves; ++leaf) {
-            if (network.route_port(r, tree.leaf_addrs[leaf]) ==
-                static_cast<int>(port)) {
-              ++hosts;
-            }
-          }
-          weights[port] = std::max(1.0, hosts);
+        std::vector<double> weights(network.node(r).port_count(), 0.0);
+        for (const sim::Address leaf : tree.leaf_addrs) {
+          const int port = network.route_port(r, leaf);
+          if (port >= 0) ++weights[static_cast<std::size_t>(port)];
         }
+        for (double& w : weights) w = std::max(1.0, w);
         pushback_system->agent(r)->set_port_weights(std::move(weights));
       }
     }

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <string>
+#include <vector>
+
 #include "net/host.hpp"
 #include "net/router.hpp"
 #include "net/switch_node.hpp"
 #include "sim/simulator.hpp"
+#include "topo/tree.hpp"
+#include "util/rng.hpp"
 
 namespace hbp::net {
 namespace {
@@ -184,6 +192,221 @@ TEST(Network, RoutesPickShortestPath) {
   // r1's port toward b is the r2 port (shorter branch).
   const int port = network.route_port(r1.id(), b.address());
   EXPECT_EQ(r1.neighbor(static_cast<std::size_t>(port)), r2.id());
+}
+
+// --- route table against the reference algorithm ---
+
+// The routing algorithm the flat table replaced, kept as the reference: one
+// deque BFS per address over every node's neighbours in port order, and the
+// parent port found by scanning the child's ports for the first match.
+struct ReferenceRoutes {
+  std::vector<std::vector<std::int32_t>> port;  // [node][address - 1]
+  std::vector<std::vector<std::int32_t>> dist;  // [node][address - 1]
+};
+
+ReferenceRoutes reference_routes(const Network& network, std::size_t addresses) {
+  const std::size_t n = network.node_count();
+  const std::size_t m = addresses;
+  ReferenceRoutes ref;
+  ref.port.assign(n, std::vector<std::int32_t>(m, -1));
+  ref.dist.assign(n, std::vector<std::int32_t>(m, -1));
+
+  std::vector<std::int32_t> dist(n);
+  std::deque<sim::NodeId> frontier;
+  for (std::size_t ai = 0; ai < m; ++ai) {
+    const sim::NodeId root = network.node_of(static_cast<sim::Address>(ai + 1));
+    dist.assign(n, -1);
+    dist[static_cast<std::size_t>(root)] = 0;
+    frontier.clear();
+    frontier.push_back(root);
+    while (!frontier.empty()) {
+      const sim::NodeId u = frontier.front();
+      frontier.pop_front();
+      const Node& nu = network.node(u);
+      for (std::size_t port = 0; port < nu.port_count(); ++port) {
+        const sim::NodeId v = nu.neighbor(port);
+        if (dist[static_cast<std::size_t>(v)] != -1) continue;
+        dist[static_cast<std::size_t>(v)] = dist[static_cast<std::size_t>(u)] + 1;
+        // Next hop from v toward root is u; find v's port to u.
+        const Node& nv = network.node(v);
+        for (std::size_t vport = 0; vport < nv.port_count(); ++vport) {
+          if (nv.neighbor(vport) == u) {
+            ref.port[static_cast<std::size_t>(v)][ai] =
+                static_cast<std::int32_t>(vport);
+            break;
+          }
+        }
+        frontier.push_back(v);
+      }
+    }
+    for (std::size_t v = 0; v < n; ++v) ref.dist[v][ai] = dist[v];
+  }
+  return ref;
+}
+
+// Hosts are the only nodes with addresses, numbered 1..A.
+std::size_t address_count(const Network& network) {
+  std::size_t count = 0;
+  for (std::size_t id = 0; id < network.node_count(); ++id) {
+    const Node& node = network.node(static_cast<sim::NodeId>(id));
+    if (node.kind() != NodeKind::kHost) continue;
+    count = std::max<std::size_t>(count, static_cast<const Host&>(node).address());
+  }
+  return count;
+}
+
+// Every (node, address) entry and hop distance equals the reference's; a
+// destination's own node reads -1.  Returns how many entries are -1 because
+// the node cannot reach the address.
+std::size_t expect_routes_match_reference(const Network& network) {
+  const std::size_t m = address_count(network);
+  const ReferenceRoutes ref = reference_routes(network, m);
+  std::size_t unreachable = 0;
+  for (std::size_t v = 0; v < network.node_count(); ++v) {
+    const auto from = static_cast<sim::NodeId>(v);
+    for (std::size_t ai = 0; ai < m; ++ai) {
+      const auto dst = static_cast<sim::Address>(ai + 1);
+      EXPECT_EQ(network.route_port(from, dst), ref.port[v][ai])
+          << "node " << v << " address " << dst;
+      EXPECT_EQ(network.hop_distance(from, dst), ref.dist[v][ai])
+          << "node " << v << " address " << dst;
+      if (ref.dist[v][ai] == -1) ++unreachable;
+    }
+  }
+  for (std::size_t ai = 0; ai < m; ++ai) {
+    const auto dst = static_cast<sim::Address>(ai + 1);
+    EXPECT_EQ(network.route_port(network.node_of(dst), dst), -1);
+  }
+  return unreachable;
+}
+
+// A seeded random graph of routers, switches and hosts: a random spanning
+// tree, extra edges that close cycles or double an existing link, and a
+// separate component that no address of the main one can reach.
+void build_random_graph(Network& network, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const auto add_random_node = [&](const std::string& name) -> sim::NodeId {
+    switch (rng.below(3)) {
+      case 0: return network.add_node<Router>(name).id();
+      case 1: return network.add_node<Switch>(name).id();
+      default: return network.add_node<Host>(name).id();
+    }
+  };
+  const auto build_component = [&](std::size_t size, std::size_t extra_edges) {
+    std::vector<sim::NodeId> ids;
+    for (std::size_t i = 0; i < size; ++i) {
+      ids.push_back(add_random_node("n" + std::to_string(network.node_count())));
+      if (i > 0) network.connect(ids[rng.below(i)], ids.back(), LinkParams{});
+    }
+    for (std::size_t e = 0; e < extra_edges; ++e) {
+      const sim::NodeId a = ids[rng.below(size)];
+      const sim::NodeId b = ids[rng.below(size)];
+      if (a != b) network.connect(a, b, LinkParams{});
+    }
+    // Every component holds at least one addressed host.
+    auto& host = network.add_node<Host>("h" + std::to_string(network.node_count()));
+    network.connect(ids[rng.below(size)], host.id(), LinkParams{});
+  };
+  build_component(8 + rng.below(40), 4 + rng.below(40));
+  build_component(2 + rng.below(6), rng.below(4));
+  // A parallel link between the first two linked nodes, and an isolated
+  // host.
+  network.connect(0, network.node(0).neighbor(0), LinkParams{});
+  network.add_node<Host>("isolated");
+
+  // Addresses in a shuffled order, so address order differs from node order.
+  std::vector<sim::NodeId> hosts;
+  for (std::size_t id = 0; id < network.node_count(); ++id) {
+    if (network.node(static_cast<sim::NodeId>(id)).kind() == NodeKind::kHost) {
+      hosts.push_back(static_cast<sim::NodeId>(id));
+    }
+  }
+  rng.shuffle(hosts);
+  for (const sim::NodeId h : hosts) {
+    static_cast<Host&>(network.node(h)).set_address(network.assign_address(h));
+  }
+}
+
+TEST(RouteTable, MatchesReferenceOnRandomGraphs) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Simulator simulator;
+    Network network(simulator);
+    build_random_graph(network, seed);
+    network.compute_routes();
+    // The second component and the isolated host cannot reach the rest.
+    EXPECT_GT(expect_routes_match_reference(network), 0u);
+  }
+}
+
+TEST(RouteTable, ParallelLinksRouteOverTheFirst) {
+  // x =(two links)= y -- h: x's route to h takes the first x-y link, and
+  // y's route to the host behind x takes y's end of that same first link.
+  sim::Simulator simulator;
+  Network network(simulator);
+  auto& g = network.add_node<Host>("g");
+  auto& x = network.add_node<Router>("x");
+  auto& y = network.add_node<Router>("y");
+  auto& h = network.add_node<Host>("h");
+  network.connect(g.id(), x.id(), LinkParams{});
+  network.connect(y.id(), h.id(), LinkParams{});
+  const auto [x_first, y_first] = network.connect(x.id(), y.id(), LinkParams{});
+  network.connect(x.id(), y.id(), LinkParams{});
+  g.set_address(network.assign_address(g.id()));
+  h.set_address(network.assign_address(h.id()));
+  network.compute_routes();
+  EXPECT_EQ(network.route_port(x.id(), h.address()), x_first);
+  EXPECT_EQ(network.route_port(y.id(), g.address()), y_first);
+  expect_routes_match_reference(network);
+}
+
+TEST(RouteTable, MatchesReferenceOnHostSwitchRouterMix) {
+  // Two access switches with three hosts each under a ring of four routers,
+  // a server host on the far router, and a host wired straight to a router.
+  sim::Simulator simulator;
+  Network network(simulator);
+  std::vector<Router*> ring;
+  for (int i = 0; i < 4; ++i) {
+    ring.push_back(&network.add_node<Router>("r" + std::to_string(i)));
+  }
+  for (int i = 0; i < 4; ++i) {
+    network.connect(ring[i]->id(), ring[(i + 1) % 4]->id(), LinkParams{});
+  }
+  std::vector<Host*> hosts;
+  for (int s = 0; s < 2; ++s) {
+    auto& sw = network.add_node<Switch>("sw" + std::to_string(s));
+    network.connect(ring[s]->id(), sw.id(), LinkParams{});
+    for (int i = 0; i < 3; ++i) {
+      hosts.push_back(&network.add_node<Host>("h" + std::to_string(s * 3 + i)));
+      network.connect(sw.id(), hosts.back()->id(), LinkParams{});
+    }
+  }
+  auto& server = network.add_node<Host>("server");
+  network.connect(ring[2]->id(), server.id(), LinkParams{});
+  auto& direct = network.add_node<Host>("direct");
+  network.connect(direct.id(), ring[3]->id(), LinkParams{});
+  hosts.push_back(&server);
+  hosts.push_back(&direct);
+  for (Host* h : hosts) h->set_address(network.assign_address(h->id()));
+  network.compute_routes();
+
+  EXPECT_EQ(expect_routes_match_reference(network), 0u);
+  // h0 -- sw0 -- r0 -- r1 -- r2 -- server (r0 -- r3 -- r2 is as long).
+  EXPECT_EQ(network.hop_distance(hosts[0]->id(), server.address()), 5);
+  EXPECT_EQ(network.hop_distance(hosts[0]->id(), hosts[1]->address()), 2);
+  EXPECT_EQ(network.hop_distance(server.id(), server.address()), 0);
+}
+
+TEST(RouteTable, MatchesReferenceOnPaperTree) {
+  sim::Simulator simulator;
+  Network network(simulator);
+  topo::TreeParams params;
+  params.leaf_count = 300;
+  util::Rng rng(1);
+  const topo::Tree tree = topo::build_tree(network, rng, params);
+  network.compute_routes();
+  EXPECT_EQ(expect_routes_match_reference(network), 0u);
+  EXPECT_EQ(address_count(network), tree.leaf_addrs.size() + tree.server_addrs.size());
 }
 
 }  // namespace

@@ -97,7 +97,8 @@ TEST_F(SwitchFixture, WatchCountsOnlyWatchedDestination) {
   send(0, server->address());
   send(1, hosts[2]->address());  // not watched
   simulator.run_until(sim::SimTime::seconds(1));
-  const auto ports = sw->ports_sending_to(server->address());
+  std::vector<int> ports;
+  sw->ports_sending_to(server->address(), ports);
   ASSERT_EQ(ports.size(), 1u);
   EXPECT_EQ(ports[0], host_ports[0]);
 }
@@ -107,7 +108,8 @@ TEST_F(SwitchFixture, WatchSeesMultipleSenders) {
   send(0, server->address());
   send(2, server->address());
   simulator.run_until(sim::SimTime::seconds(1));
-  auto ports = sw->ports_sending_to(server->address());
+  std::vector<int> ports;
+  sw->ports_sending_to(server->address(), ports);
   std::sort(ports.begin(), ports.end());
   EXPECT_EQ(ports, (std::vector<int>{host_ports[0], host_ports[2]}));
 }
@@ -118,7 +120,9 @@ TEST_F(SwitchFixture, StopWatchClearsCounts) {
   simulator.run_until(sim::SimTime::seconds(1));
   sw->stop_watch(server->address());
   EXPECT_FALSE(sw->watching(server->address()));
-  EXPECT_TRUE(sw->ports_sending_to(server->address()).empty());
+  std::vector<int> ports{-1};
+  sw->ports_sending_to(server->address(), ports);
+  EXPECT_TRUE(ports.empty());
 }
 
 TEST_F(SwitchFixture, WatchDoesNotSeeSpoofedSourceOnlyPhysicalPort) {
@@ -131,9 +135,31 @@ TEST_F(SwitchFixture, WatchDoesNotSeeSpoofedSourceOnlyPhysicalPort) {
   p.size_bytes = 100;
   hosts[2]->send(std::move(p));
   simulator.run_until(sim::SimTime::seconds(1));
-  const auto ports = sw->ports_sending_to(server->address());
+  std::vector<int> ports;
+  sw->ports_sending_to(server->address(), ports);
   ASSERT_EQ(ports.size(), 1u);
   EXPECT_EQ(sw->attached_host(ports[0]), hosts[2]->id());
+}
+
+TEST_F(SwitchFixture, WatchBufferIsReplacedOnReuse) {
+  // One caller-owned buffer across two harvests: the second call replaces
+  // the first's ports rather than appending, and keeps the capacity.
+  sw->start_watch(server->address());
+  send(0, server->address());
+  send(2, server->address());
+  simulator.run_until(sim::SimTime::seconds(1));
+  std::vector<int> ports;
+  sw->ports_sending_to(server->address(), ports);
+  EXPECT_EQ(ports, (std::vector<int>{host_ports[0], host_ports[2]}));
+  const int* const storage = ports.data();
+
+  sw->stop_watch(server->address());
+  sw->start_watch(server->address());
+  send(1, server->address());
+  simulator.run_until(sim::SimTime::seconds(2));
+  sw->ports_sending_to(server->address(), ports);
+  EXPECT_EQ(ports, (std::vector<int>{host_ports[1]}));
+  EXPECT_EQ(ports.data(), storage);
 }
 
 TEST_F(SwitchFixture, AttachedHostIdentifiesHostsAndUplink) {
