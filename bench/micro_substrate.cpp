@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -226,10 +227,50 @@ void BM_MaxMinAllocate(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxMinAllocate)->Arg(8)->Arg(64)->Arg(512);
 
-// Deterministic workload for the --json perf record: a fixed event chain
-// plus a fixed router-forwarding run, timed with steady_clock.  The event
-// count is a pure function of the workload; only the rates are host-bound.
-void write_json_record(const std::string& path) {
+// The default display reporter (it honours --benchmark_format), also keeping
+// each google-benchmark result for the --json record: items/s where the
+// benchmark counts items, otherwise real nanoseconds per iteration.  With
+// --benchmark_repetitions only the aggregates (mean, median, ...) are kept,
+// so every key is unique.
+class RecordingReporter : public benchmark::BenchmarkReporter {
+ public:
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.error_occurred) continue;
+      if (run.run_type != Run::RT_Aggregate && run.repetitions > 1) continue;
+      const auto items = run.counters.find("items_per_second");
+      if (items != run.counters.end()) {
+        results.push_back({run.benchmark_name() + ".items_per_s",
+                           items->second.value});
+      } else {
+        results.push_back(
+            {run.benchmark_name() + ".ns_per_iter",
+             run.GetAdjustedRealTime() * 1e9 /
+                 benchmark::GetTimeUnitMultiplier(run.time_unit)});
+      }
+    }
+    display_->ReportRuns(runs);
+  }
+
+  void Finalize() override { display_->Finalize(); }
+
+  std::vector<hbp::telemetry::BenchCounter> results;
+
+ private:
+  // Owned by the library.
+  benchmark::BenchmarkReporter* display_ =
+      benchmark::CreateDefaultDisplayReporter();
+};
+
+// The --json perf record: every google-benchmark result of this invocation,
+// then a fixed event chain timed with steady_clock.  The chain's event count
+// is a pure function of the workload; the rates are host-bound.
+void write_json_record(const std::string& path,
+                       std::vector<hbp::telemetry::BenchCounter> counters) {
   const auto wall_start = std::chrono::steady_clock::now();
   hbp::sim::Simulator simulator;
   std::int64_t count = 0;
@@ -249,7 +290,6 @@ void write_json_record(const std::string& path) {
   perf.peak_rss_bytes = hbp::telemetry::peak_rss_bytes();
   perf.sim_seconds = simulator.now().to_seconds();
 
-  std::vector<hbp::telemetry::BenchCounter> counters;
   counters.push_back(
       {"chain_events", static_cast<double>(simulator.events_executed())});
   hbp::telemetry::write_bench_record(path, "micro_substrate", counters,
@@ -280,8 +320,11 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {
     return 1;
   }
-  benchmark::RunSpecifiedBenchmarks();
+  RecordingReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  if (!json_path.empty()) write_json_record(json_path);
+  if (!json_path.empty()) {
+    write_json_record(json_path, std::move(reporter.results));
+  }
   return 0;
 }

@@ -170,7 +170,6 @@ void HbpDefense::schedule_direct_requests(int server) {
       next_honeypot_epoch(server, pool_.schedule().epoch_of(simulator_.now()));
   if (next_epoch == 0) return;
   const SessionWindow window = pool_.honeypot_window(next_epoch);
-  const net::AsId home = home_as(server);
 
   for (const auto& entry : entries) {
     // "At t_A + τ seconds before the next honeypot epoch, a request message
@@ -180,13 +179,15 @@ void HbpDefense::schedule_direct_requests(int server) {
     sim::SimTime when = window.start - lead;
     if (when < simulator_.now()) when = simulator_.now();
 
-    const HoneypotRequest m{.dst = pool_.address(server),
-                            .epoch = next_epoch,
-                            .window = window,
-                            .from_as = home,
-                            .to_as = entry.as,
-                            .progressive_direct = true};
-    simulator_.at(when, [this, server, m] {
+    // The closure keeps what the server index cannot recompute, so it
+    // stays in the event's inline buffer; the request is built at firing.
+    simulator_.at(when, [this, server, next_epoch, window, to_as = entry.as] {
+      const HoneypotRequest m{.dst = pool_.address(server),
+                              .epoch = next_epoch,
+                              .window = window,
+                              .from_as = home_as(server),
+                              .to_as = to_as,
+                              .progressive_direct = true};
       requested_[static_cast<std::size_t>(server)][m.epoch].insert(m.to_as);
       simulator_.emit({simulator_.now(), sim::TraceVerb::kDirectRequest,
                        pool_.node(server), 0, 0, m.to_as,

@@ -19,8 +19,7 @@ void Host::send(sim::Packet&& p) {
   HBP_ASSERT_MSG(port_count() == 1, "hosts have exactly one access port");
   p.uid = network().next_packet_uid();
   sim::Simulator& simulator = network().simulator();
-  p.sent_at = simulator.now();
-  simulator.emit({p.sent_at, sim::TraceVerb::kSend, id(), p.uid, 0,
+  simulator.emit({simulator.now(), sim::TraceVerb::kSend, id(), p.uid, 0,
                   static_cast<std::int32_t>(p.dst),
                   static_cast<std::int32_t>(p.type)});
   network().transmit(id(), 0, std::move(p));

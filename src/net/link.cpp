@@ -1,5 +1,7 @@
 #include "net/link.hpp"
 
+#include <type_traits>
+
 #include "net/network.hpp"
 #include "util/assert.hpp"
 
@@ -55,7 +57,9 @@ void Link::start_transmission() {
   };
   // The packet-path closure must stay in the event's inline buffer: a heap
   // fallback here would put an allocation on every forwarded packet.
+  // It is also trivially copyable, so the queue moves it with one memcpy.
   static_assert(sim::Event::fits_inline<decltype(deliver)>());
+  static_assert(std::is_trivially_copyable_v<decltype(deliver)>);
   simulator_.after(tx + delay_, std::move(deliver), "net.link.deliver");
   simulator_.after(tx, [this] { start_transmission(); }, "net.link.tx");
 }

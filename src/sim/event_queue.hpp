@@ -5,7 +5,8 @@
 // tests pin through the run's trace digest.
 //
 // Event closures themselves never move through the ordering structure: they
-// live in a slab of recycled slots addressed by the index records, and ids
+// are built in place in a slab of recycled 64-byte slots addressed by the
+// index records, and leave it once, when popped.  Ids
 // carry a per-slot generation so stale ids and stale index records are
 // rejected in O(1).  Steady-state push/pop/cancel performs zero heap
 // allocations once the slab and the ordering structure have reached their
@@ -13,10 +14,13 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/event.hpp"
 #include "sim/time.hpp"
+#include "util/assert.hpp"
 
 namespace hbp::sim {
 
@@ -29,10 +33,20 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  // Returns an id usable with cancel().  `label` is an optional static
+  // Returns an id usable with cancel().  `fn` is a void() callable, built
+  // once directly in its slab slot (an lvalue is copied, an rvalue moved),
+  // or a non-empty Event, which is moved in.  `label` is an optional static
   // string naming the event type for the loop profiler (scheduling sites
   // pass string literals; the queue only stores the pointer).
-  EventId push(SimTime at, Event fn, const char* label = nullptr);
+  template <typename F>
+  EventId push(SimTime at, F&& fn, const char* label = nullptr) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<F>, Event>) {
+      HBP_ASSERT_MSG(static_cast<bool>(fn), "cannot schedule an empty event");
+    }
+    const std::uint32_t idx = acquire_slot();
+    slots_[idx].emplace(std::forward<F>(fn));
+    return enqueue(at, idx, label);
+  }
 
   bool empty() const { return live_count_ == 0; }
   std::size_t size() const { return live_count_; }
@@ -80,29 +94,32 @@ class EventQueue {
     bool operator>(const Item& o) const { return o < *this; }
   };
 
-  struct Slot {
-    Event fn;
+  // Per-slot bookkeeping, parallel to slots_ so that a slot is a bare
+  // 64-byte Event.  A slot is occupied while its closure is non-empty; ids
+  // and ordering records name it together with its generation.
+  struct SlotMeta {
     const char* label = nullptr;
     std::uint32_t gen = 0;        // bumped on every free
     std::uint32_t next_free = 0;  // free-list link
-    bool occupied = false;
   };
 
   static constexpr std::uint32_t kNoFree = 0xffffffffu;
 
-  bool item_live(const Item& it) const {
-    const Slot& s = slots_[it.slot];
-    return s.occupied && s.gen == it.gen;
+  bool live(std::uint32_t slot, std::uint32_t gen) const {
+    return meta_[slot].gen == gen && static_cast<bool>(slots_[slot]);
   }
 
   std::uint32_t acquire_slot();
+  // Records a filled slot in the ordering structure.
+  EventId enqueue(SimTime at, std::uint32_t idx, const char* label);
   void release_slot(std::uint32_t idx);
   void maybe_compact();
 
   // Drops stale records from the top of the heap.
   void prune_top() const;
 
-  std::vector<Slot> slots_;
+  std::vector<Event> slots_;
+  std::vector<SlotMeta> meta_;
   std::uint32_t free_head_ = kNoFree;
   std::uint64_t next_seq_ = 0;
   std::size_t live_count_ = 0;

@@ -8,8 +8,6 @@
 
 #include <cstdint>
 
-#include "sim/time.hpp"
-
 namespace hbp::sim {
 
 using Address = std::uint32_t;   // IPv4-like host address
@@ -34,12 +32,15 @@ enum class PacketType : std::uint8_t {
 inline constexpr std::int32_t kNoMark = -1;
 
 // Fields are ordered by width (8-byte, 4-byte, then 1-byte) so the struct
-// fills one 64-byte cache line; ground-truth fields are marked.
+// packs into 48 bytes: with a component pointer, a packet closure fills the
+// inline buffer of a 64-byte sim::Event.  Ground-truth fields are marked.
 struct Packet {
   std::uint64_t uid = 0;           // unique per simulation, for tracing
-  std::int64_t seq = 0;            // TCP-lite sequence number (byte offset)
-  std::int64_t ack = 0;            // TCP-lite cumulative acknowledgement
-  SimTime sent_at = SimTime::zero();  // ground truth: when it was sent
+
+  // TCP-lite byte offsets.  The endpoints keep 64-bit state and check that
+  // each offset they write fits (transport/tcp.cpp).
+  std::int32_t seq = 0;            // sequence number
+  std::int32_t ack = 0;            // cumulative acknowledgement
 
   Address src = 0;                 // protocol-visible, possibly spoofed
   Address dst = 0;
@@ -57,6 +58,6 @@ struct Packet {
   std::uint8_t ttl = 64;
   bool is_attack = false;  // ground truth: labeled by the traffic generator
 };
-static_assert(sizeof(Packet) == 64, "Packet has picked up padding");
+static_assert(sizeof(Packet) == 48, "Packet has picked up padding");
 
 }  // namespace hbp::sim

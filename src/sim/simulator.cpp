@@ -4,11 +4,6 @@
 
 namespace hbp::sim {
 
-EventId Simulator::at(SimTime when, Event fn, const char* label) {
-  HBP_ASSERT_MSG(when >= now_, "cannot schedule an event in the past");
-  return queue_.push(when, std::move(fn), label);
-}
-
 void Simulator::dispatch(EventQueue::PoppedEvent&& ev) {
   HBP_ASSERT(ev.at >= now_);
   now_ = ev.at;

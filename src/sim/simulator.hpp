@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -23,6 +24,7 @@
 #include "sim/trace_event.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/registry.hpp"
+#include "util/assert.hpp"
 
 namespace hbp::sim {
 
@@ -34,11 +36,18 @@ class Simulator {
 
   SimTime now() const { return now_; }
 
-  // `label` names the event type for the loop profiler; pass a string
-  // literal (the pointer is stored, not the contents).
-  EventId at(SimTime when, Event fn, const char* label = nullptr);
-  EventId after(SimTime delay, Event fn, const char* label = nullptr) {
-    return at(now_ + delay, std::move(fn), label);
+  // `fn` is a void() callable (or an Event), built once in its queue slot;
+  // see EventQueue::push.  `label` names the event type for the loop
+  // profiler; pass a string literal (the pointer is stored, not the
+  // contents).
+  template <typename F>
+  EventId at(SimTime when, F&& fn, const char* label = nullptr) {
+    HBP_ASSERT_MSG(when >= now_, "cannot schedule an event in the past");
+    return queue_.push(when, std::forward<F>(fn), label);
+  }
+  template <typename F>
+  EventId after(SimTime delay, F&& fn, const char* label = nullptr) {
+    return at(now_ + delay, std::forward<F>(fn), label);
   }
   bool cancel(EventId id) { return queue_.cancel(id); }
 

@@ -2,10 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/assert.hpp"
 
 namespace hbp::transport {
+
+namespace {
+
+// The packet carries TCP-lite byte offsets in 32 bits; the endpoints keep
+// 64-bit state and check each offset they put on the wire.
+std::int32_t wire_offset(std::int64_t offset) {
+  HBP_ASSERT_MSG(
+      offset >= 0 && offset <= std::numeric_limits<std::int32_t>::max(),
+      "TCP-lite offset does not fit the packet's 32-bit field");
+  return static_cast<std::int32_t>(offset);
+}
+
+}  // namespace
 
 // ------------------------------------------------------------------ sender
 
@@ -44,7 +58,7 @@ void TcpSender::send_syn() {
   syn.size_bytes = 64;
   // Checkpoint resume (Section 4): a migrated connection tells the new
   // server where the stream left off.
-  syn.seq = snd_una_;
+  syn.seq = wire_offset(snd_una_);
   host_.send(std::move(syn));
   // Handshake loss recovery rides on the same RTO machinery.
   arm_rto();
@@ -97,7 +111,7 @@ void TcpSender::send_segment(std::int64_t seq) {
   p.src = host_.address();
   p.dst = dst_;
   p.size_bytes = params_.mss_bytes;
-  p.seq = seq;
+  p.seq = wire_offset(seq);
   host_.send(std::move(p));
 }
 
@@ -265,7 +279,7 @@ void TcpReceiver::send_ack(sim::Address peer, const PeerState& state) {
   ack.src = host_.address();
   ack.dst = peer;
   ack.size_bytes = 64;
-  ack.ack = state.rcv_nxt;
+  ack.ack = wire_offset(state.rcv_nxt);
   host_.send(std::move(ack));
 }
 

@@ -7,8 +7,16 @@
 // scheduling sites pin their closures inline with
 // `static_assert(sim::Event::fits_inline<decltype(fn)>())`.
 //
+// `emplace` builds a target directly in an existing SmallFn, so a queue can
+// construct a scheduled closure once, in its final storage.
+//
 // Dispatch is vtable-free: one pointer to a static per-type operations
-// record (invoke / relocate / destroy), resolved at construction.
+// record (invoke / relocate / destroy), resolved at construction.  Targets
+// that are trivially copyable and trivially destructible — a pointer plus a
+// Packet, a `[this]` tick — have null relocate/destroy entries: moving one
+// copies the whole buffer with one fixed-size memcpy, and destroying one is
+// a no-op.  A heap target moves the same way, since its buffer holds only
+// the pointer.
 #pragma once
 
 #include <cstddef>
@@ -18,8 +26,19 @@
 
 namespace hbp::util {
 
+namespace detail {
+// Common base of every SmallFn specialisation: lets the converting
+// constructor reject any SmallFn (or type derived from one), which would
+// otherwise be wrapped — and usually heap-allocated — as a new target.
+struct SmallFnTag {};
+}  // namespace detail
+
+template <typename T>
+inline constexpr bool is_small_fn_v =
+    std::is_base_of_v<detail::SmallFnTag, std::remove_cvref_t<T>>;
+
 template <std::size_t Capacity>
-class SmallFn {
+class SmallFn : detail::SmallFnTag {
  public:
   static constexpr std::size_t kInlineSize = Capacity;
 
@@ -27,17 +46,10 @@ class SmallFn {
   SmallFn(std::nullptr_t) noexcept {}  // NOLINT(runtime/explicit)
 
   template <typename F, typename D = std::remove_cvref_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, SmallFn> &&
+            typename = std::enable_if_t<!is_small_fn_v<D> &&
                                         std::is_invocable_r_v<void, D&>>>
   SmallFn(F&& f) {  // NOLINT(runtime/explicit)
-    if constexpr (fits_inline<D>()) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &kInlineOpsFor<D>;
-    } else {
-      void* p = new D(std::forward<F>(f));
-      std::memcpy(buf_, &p, sizeof(void*));
-      ops_ = &kHeapOpsFor<D>;
-    }
+    construct<D>(std::forward<F>(f));
   }
 
   SmallFn(SmallFn&& other) noexcept { steal(other); }
@@ -55,7 +67,24 @@ class SmallFn {
 
   ~SmallFn() { reset(); }
 
-  void operator()() { ops_->invoke(target()); }
+  // Replaces the target with `f`: a callable is constructed in place (an
+  // lvalue is copied, an rvalue moved); an rvalue SmallFn of this type is
+  // moved in whole.
+  template <typename F>
+  void emplace(F&& f) {
+    using D = std::remove_cvref_t<F>;
+    if constexpr (std::is_same_v<D, SmallFn>) {
+      *this = std::forward<F>(f);
+    } else {
+      static_assert(!is_small_fn_v<D>,
+                    "a SmallFn of another capacity is not a target");
+      static_assert(std::is_invocable_r_v<void, D&>, "not a void() callable");
+      reset();
+      construct<D>(std::forward<F>(f));
+    }
+  }
+
+  void operator()() { ops_->invoke(buf_); }
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
@@ -69,44 +98,59 @@ class SmallFn {
 
  private:
   struct Ops {
-    void (*invoke)(void*);
-    // Move-constructs dst from src and destroys src (inline targets only).
+    void (*invoke)(void* buf);
+    // Move-constructs dst from src and destroys src; null: memcpy the buffer.
     void (*relocate)(void* src, void* dst);
-    void (*destroy)(void*);
-    bool heap;
+    // Null: nothing to destroy.
+    void (*destroy)(void* buf);
   };
 
   template <typename T>
+  static constexpr bool kTrivial =
+      std::is_trivially_copyable_v<T> && std::is_trivially_destructible_v<T>;
+
+  template <typename T>
   static constexpr Ops kInlineOpsFor{
-      [](void* p) { (*static_cast<T*>(p))(); },
-      [](void* src, void* dst) {
-        ::new (dst) T(std::move(*static_cast<T*>(src)));
-        static_cast<T*>(src)->~T();
-      },
-      [](void* p) { static_cast<T*>(p)->~T(); },
-      /*heap=*/false};
+      [](void* buf) { (*static_cast<T*>(buf))(); },
+      kTrivial<T> ? nullptr
+                  : +[](void* src, void* dst) {
+                      ::new (dst) T(std::move(*static_cast<T*>(src)));
+                      static_cast<T*>(src)->~T();
+                    },
+      kTrivial<T> ? nullptr
+                  : +[](void* buf) { static_cast<T*>(buf)->~T(); }};
+
+  template <typename T>
+  static T* heap_target(void* buf) {
+    T* p = nullptr;
+    std::memcpy(&p, buf, sizeof(p));
+    return p;
+  }
 
   template <typename T>
   static constexpr Ops kHeapOpsFor{
-      [](void* p) { (*static_cast<T*>(p))(); },
+      [](void* buf) { (*heap_target<T>(buf))(); },
       nullptr,
-      [](void* p) { delete static_cast<T*>(p); },
-      /*heap=*/true};
+      [](void* buf) { delete heap_target<T>(buf); }};
 
-  void* target() noexcept {
-    if (ops_->heap) {
-      void* p;
-      std::memcpy(&p, buf_, sizeof(void*));
-      return p;
+  // Requires an empty *this.
+  template <typename D, typename F>
+  void construct(F&& f) {
+    if constexpr (fits_inline<D>()) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &kInlineOpsFor<D>;
+    } else {
+      D* p = new D(std::forward<F>(f));
+      std::memcpy(buf_, &p, sizeof(p));
+      ops_ = &kHeapOpsFor<D>;
     }
-    return buf_;
   }
 
   void steal(SmallFn& other) noexcept {
     ops_ = other.ops_;
     if (ops_ == nullptr) return;
-    if (ops_->heap) {
-      std::memcpy(buf_, other.buf_, sizeof(void*));
+    if (ops_->relocate == nullptr) {
+      std::memcpy(buf_, other.buf_, Capacity);
     } else {
       ops_->relocate(other.buf_, buf_);
     }
@@ -115,7 +159,7 @@ class SmallFn {
 
   void reset() noexcept {
     if (ops_ != nullptr) {
-      ops_->destroy(target());
+      if (ops_->destroy != nullptr) ops_->destroy(buf_);
       ops_ = nullptr;
     }
   }

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "sim/simulator.hpp"
 #include "sim/trace_digest.hpp"
 #include "util/rng.hpp"
 
@@ -266,6 +269,183 @@ TEST(BoundedCancelState, CancelChurnStaysBounded) {
     ASSERT_LE(q.slot_capacity(), kBatch);
     ASSERT_LE(q.backlog_items(), std::max<std::size_t>(64, q.size()));
   }
+}
+
+// Lifetime census of a non-trivial closure: every instance made (from
+// scratch, by copy or by move) is destroyed exactly once.
+struct Census {
+  int made = 0;
+  int copies = 0;
+  int moves = 0;
+  int destroyed = 0;
+  int invoked = 0;
+  int live() const { return made + copies + moves - destroyed; }
+};
+
+struct Counting {
+  explicit Counting(Census& c) : census(&c) { ++c.made; }
+  Counting(const Counting& o) noexcept : census(o.census) { ++census->copies; }
+  Counting(Counting&& o) noexcept : census(o.census) { ++census->moves; }
+  Counting& operator=(const Counting&) = delete;
+  ~Counting() { ++census->destroyed; }
+  void operator()() { ++census->invoked; }
+  Census* census;
+};
+static_assert(Event::fits_inline<Counting>());
+static_assert(!std::is_trivially_copyable_v<Counting>);
+
+// Too large for the inline buffer: takes the heap path.
+struct BigCounting : Counting {
+  using Counting::Counting;
+  std::array<char, 64> pad{};
+};
+static_assert(!Event::fits_inline<BigCounting>());
+
+TEST(EventLifetime, BuiltInPlaceThenMovedOutOnce) {
+  Census c;
+  {
+    EventQueue q;
+    q.push(SimTime(1), Counting(c));
+    // One move into the slot: the closure is built in place.
+    EXPECT_EQ(c.moves, 1);
+    EXPECT_EQ(c.live(), 1);
+    q.pop().fn();
+  }
+  EXPECT_EQ(c.made, 1);
+  EXPECT_EQ(c.copies, 0);
+  EXPECT_EQ(c.moves, 2);  // into the slot, out at pop
+  EXPECT_EQ(c.invoked, 1);
+  EXPECT_EQ(c.live(), 0);
+}
+
+TEST(EventLifetime, SimulatorSchedulesWithoutExtraMoves) {
+  Census c;
+  {
+    Simulator simulator;
+    simulator.after(SimTime(5), Counting(c));
+    EXPECT_EQ(c.moves, 1);
+    simulator.run_all();
+  }
+  EXPECT_EQ(c.moves, 2);
+  EXPECT_EQ(c.invoked, 1);
+  EXPECT_EQ(c.live(), 0);
+}
+
+TEST(EventLifetime, CancelDestroysOnce) {
+  Census c;
+  EventQueue q;
+  const EventId id = q.push(SimTime(1), Counting(c));
+  EXPECT_TRUE(q.cancel(id));
+  EXPECT_EQ(c.invoked, 0);
+  EXPECT_EQ(c.live(), 0);
+  EXPECT_FALSE(q.cancel(id));
+  EXPECT_EQ(c.live(), 0);
+}
+
+TEST(EventLifetime, SlabGrowthKeepsEveryClosure) {
+  Census c;
+  {
+    EventQueue q;
+    constexpr int kPending = 1500;
+    for (int i = 0; i < kPending; ++i) q.push(SimTime(i % 97), Counting(c));
+    EXPECT_GE(q.slot_capacity(), static_cast<std::size_t>(kPending));
+    EXPECT_EQ(c.live(), kPending);
+    // Cancel some, fire the rest; the queue dies with none pending.
+    for (int i = 0; i < 100; ++i) q.cancel(static_cast<EventId>(i));
+    EXPECT_EQ(c.live(), kPending - 100);
+    while (!q.empty()) q.pop().fn();
+    EXPECT_EQ(c.invoked, kPending - 100);
+  }
+  EXPECT_EQ(c.made, 1500);
+  EXPECT_EQ(c.copies, 0);
+  EXPECT_EQ(c.live(), 0);
+}
+
+TEST(EventLifetime, OversizedClosureTakesHeapAndIsFreed) {
+  Census c;
+  {
+    EventQueue q;
+    q.push(SimTime(1), BigCounting(c));
+    q.push(SimTime(2), BigCounting(c));
+    EXPECT_EQ(c.live(), 2);
+    q.pop().fn();
+    // A heap target moves as its pointer: one move into the allocation only.
+    EXPECT_EQ(c.moves, 2);
+  }  // the second is freed with the queue
+  EXPECT_EQ(c.invoked, 1);
+  EXPECT_EQ(c.live(), 0);
+}
+
+TEST(EventLifetime, LvalueIsCopiedAndEventIsStolen) {
+  Census c;
+  {
+    EventQueue q;
+    Event e = Counting(c);
+    EXPECT_EQ(c.moves, 1);
+    q.push(SimTime(1), std::move(e));
+    EXPECT_FALSE(e);
+    EXPECT_EQ(c.moves, 2);  // relocated into the slot once
+    Counting original(c);
+    q.push(SimTime(2), original);
+    EXPECT_EQ(c.copies, 1);
+    EXPECT_EQ(c.live(), 3);
+    while (!q.empty()) q.pop().fn();
+    EXPECT_EQ(c.invoked, 2);
+    original();
+  }
+  EXPECT_EQ(c.invoked, 3);
+  EXPECT_EQ(c.live(), 0);
+}
+
+TEST(EventLifetime, PacketClosureArrivesIntact) {
+  struct Sink {
+    std::vector<Packet> got;
+  } sink;
+  EventQueue q;
+  constexpr int kPending = 1200;  // enough to grow the slab several times
+  for (int i = 0; i < kPending; ++i) {
+    Packet p;
+    p.uid = 0x1000000000ULL + static_cast<std::uint64_t>(i);
+    p.seq = i;
+    p.ack = -i;
+    p.src = static_cast<Address>(i * 3);
+    p.dst = static_cast<Address>(i * 5);
+    p.size_bytes = 40 + i;
+    p.mark = i % 7;
+    p.edge_start = i + 1;
+    p.edge_end = i + 2;
+    p.edge_distance = i % 11;
+    p.type = PacketType::kTcpData;
+    p.ttl = static_cast<std::uint8_t>(i % 250);
+    p.is_attack = (i % 2) == 1;
+    auto deliver = [s = &sink, p]() mutable { s->got.push_back(p); };
+    static_assert(std::is_trivially_copyable_v<decltype(deliver)>);
+    static_assert(Event::fits_inline<decltype(deliver)>());
+    q.push(SimTime(i), std::move(deliver));
+  }
+  while (!q.empty()) q.pop().fn();
+  ASSERT_EQ(sink.got.size(), static_cast<std::size_t>(kPending));
+  for (int i = 0; i < kPending; ++i) {
+    const Packet& p = sink.got[static_cast<std::size_t>(i)];
+    EXPECT_EQ(p.uid, 0x1000000000ULL + static_cast<std::uint64_t>(i));
+    EXPECT_EQ(p.seq, i);
+    EXPECT_EQ(p.ack, -i);
+    EXPECT_EQ(p.src, static_cast<Address>(i * 3));
+    EXPECT_EQ(p.dst, static_cast<Address>(i * 5));
+    EXPECT_EQ(p.size_bytes, 40 + i);
+    EXPECT_EQ(p.mark, i % 7);
+    EXPECT_EQ(p.edge_start, i + 1);
+    EXPECT_EQ(p.edge_end, i + 2);
+    EXPECT_EQ(p.edge_distance, i % 11);
+    EXPECT_EQ(p.type, PacketType::kTcpData);
+    EXPECT_EQ(p.ttl, static_cast<std::uint8_t>(i % 250));
+    EXPECT_EQ(p.is_attack, (i % 2) == 1);
+  }
+}
+
+TEST(EventLifetimeDeathTest, EmptyEventIsRejectedAtPush) {
+  EventQueue q;
+  EXPECT_DEATH(q.push(SimTime(1), Event()), "empty event");
 }
 
 TEST(EventQueue, StressRandomOrdering) {

@@ -2,6 +2,9 @@
 // packets (no sender, minimal network for the ACK return path).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "net/network.hpp"
 #include "transport/tcp.hpp"
 
@@ -98,6 +101,37 @@ TEST_F(ReceiverFixture, SynCarriesResumePosition) {
   receiver->handle(data(5000));
   drain();
   EXPECT_EQ(last_ack, 6000);
+}
+
+// The packet carries seq/ack in 32 bits: the largest offset survives a trip
+// across the link both ways, and one past it fails the sender's check.
+TEST_F(ReceiverFixture, OffsetsUpToInt32MaxRoundTrip) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+  receiver->attach();
+  sim::Packet syn;
+  syn.type = sim::PacketType::kTcpSyn;
+  syn.src = peer->address();
+  syn.dst = host->address();
+  syn.seq = static_cast<std::int32_t>(kMax - 1000);
+  syn.size_bytes = 64;
+  peer->send(std::move(syn));
+  drain();
+  EXPECT_EQ(syn_acks, 1);
+  peer->send(data(kMax - 1000));
+  drain();
+  EXPECT_EQ(last_ack, kMax);
+  EXPECT_EQ(receiver->total_bytes_delivered(), 1000);
+}
+
+TEST_F(ReceiverFixture, OffsetPastInt32MaxDies) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+  sim::Packet syn;
+  syn.type = sim::PacketType::kTcpSyn;
+  syn.src = peer->address();
+  syn.seq = static_cast<std::int32_t>(kMax - 499);
+  receiver->handle(syn);
+  // rcv_nxt reaches kMax + 501, which the ACK cannot carry.
+  EXPECT_DEATH(receiver->handle(data(kMax - 499)), "32-bit field");
 }
 
 TEST_F(ReceiverFixture, NonTcpPacketsRejected) {
