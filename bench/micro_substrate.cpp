@@ -73,8 +73,8 @@ BENCHMARK(BM_PushPopPacket)
     ->ArgName("n");
 
 // Retransmit-timer shape: every scheduled event is cancelled before firing
-// (TCP RTO, honeypot window guards).  Exercises slot recycling plus stale-
-// record compaction in the ordering structure.
+// (TCP RTO, honeypot window guards).  Exercises slot recycling plus the
+// unlink of each record from its bucket list.
 void BM_PushCancel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   hbp::util::Rng rng(3);
@@ -122,6 +122,33 @@ BENCHMARK(BM_Hold)
     ->Arg(1024)
     ->Arg(16384)
     ->ArgName("n");
+
+// Hold model at the fig11_flood depth (~730 pending) with its link-like
+// increments: 70% 10 ms deliveries, 20% ~80 us transmissions and 10% ~16 ms
+// CBR ticks, so many pending times share their high bits.
+void BM_HoldLinkMix(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  hbp::util::Rng rng(5);
+  const auto increment = [&rng] {
+    const auto kind = rng.below(10);
+    if (kind < 7) return std::int64_t{10'000'000};
+    if (kind < 9) return 80'000 + static_cast<std::int64_t>(rng.below(3)) * 8;
+    return 16'000'000 + static_cast<std::int64_t>(rng.below(2'000));
+  };
+  hbp::sim::EventQueue q;
+  for (std::size_t i = 0; i < n; ++i) {
+    q.push(hbp::sim::SimTime(static_cast<std::int64_t>(rng.below(16'000'000))),
+           [] {});
+  }
+  for (auto _ : state) {
+    for (int i = 0; i < 1000; ++i) {
+      const auto ev = q.pop();
+      q.push(ev.at + hbp::sim::SimTime(increment()), [] {});
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
+}
+BENCHMARK(BM_HoldLinkMix)->Arg(768)->ArgName("n");
 
 void BM_SimulatorEventChain(benchmark::State& state) {
   for (auto _ : state) {

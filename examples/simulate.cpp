@@ -72,6 +72,15 @@ int main(int argc, char** argv) {
   // --trace=run.csv.
   config.trace_path = flags.get_string("trace", "");
   flags.finish();
+  if (!(config.attack_start < config.attack_end) ||
+      config.attack_end > config.sim_seconds) {
+    std::fprintf(stderr,
+                 "need --attack_start < --attack_end <= --duration, got "
+                 "--attack_start=%g --attack_end=%g --duration=%g "
+                 "(--attack_end defaults to --duration minus 5)\n",
+                 config.attack_start, config.attack_end, config.sim_seconds);
+    return 2;
+  }
 
   const auto result = scenario::run_tree_experiment(config, seed);
 

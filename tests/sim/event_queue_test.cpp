@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -462,6 +463,261 @@ TEST(EventQueue, StressRandomOrdering) {
     EXPECT_GE(ev.at, last);
     last = ev.at;
   }
+}
+
+// --- Radix-heap edge cases ---------------------------------------------
+//
+// Each case below checks the pop order against the sorted (time, seq)
+// reference.  With the Simulator, nothing is scheduled in the past, so the
+// uncancelled events must fire exactly in ascending (time, schedule order).
+
+struct ScheduleLog {
+  std::vector<std::tuple<std::int64_t, std::uint64_t, int>> scheduled;
+  std::vector<int> fired;
+
+  void at(Simulator& simulator, std::int64_t t, int payload) {
+    scheduled.emplace_back(t, scheduled.size(), payload);
+    simulator.at(SimTime(t), [this, payload] { fired.push_back(payload); });
+  }
+
+  std::vector<int> expected() const {
+    auto sorted = scheduled;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<int> out;
+    for (const auto& [t, seq, payload] : sorted) out.push_back(payload);
+    return out;
+  }
+};
+
+// Pending (time, seq) -> payload, for driving a bare EventQueue in step
+// with the reference.
+class ReferenceQueue {
+ public:
+  EventId push(EventQueue& q, std::int64_t t, std::vector<int>& fired) {
+    const int payload = next_payload_++;
+    const std::pair<std::int64_t, std::uint64_t> key{t, next_seq_++};
+    pending_.emplace(key, payload);
+    const EventId id = q.push(
+        SimTime(t), [&fired, payload] { fired.push_back(payload); });
+    keys_.emplace(id, key);
+    return id;
+  }
+
+  bool cancel(EventQueue& q, EventId id) {
+    const auto it = keys_.find(id);
+    const bool live = it != keys_.end() && pending_.erase(it->second) == 1;
+    EXPECT_EQ(q.cancel(id), live);
+    return live;
+  }
+
+  // Pops one event from both and checks that they agree; returns its time.
+  std::int64_t pop(EventQueue& q, std::vector<int>& fired) {
+    EXPECT_FALSE(pending_.empty());
+    const auto front = pending_.begin();
+    EXPECT_EQ(q.next_time().nanos(), front->first.first);
+    auto ev = q.pop();
+    EXPECT_EQ(ev.at.nanos(), front->first.first);
+    ev.fn();
+    EXPECT_EQ(fired.back(), front->second);
+    const std::int64_t t = front->first.first;
+    pending_.erase(front);
+    EXPECT_EQ(q.size(), pending_.size());
+    return t;
+  }
+
+  std::size_t size() const { return pending_.size(); }
+  // Key of the earliest pending event.
+  std::int64_t front_time() const { return pending_.begin()->first.first; }
+
+ private:
+  std::map<std::pair<std::int64_t, std::uint64_t>, int> pending_;
+  std::map<EventId, std::pair<std::int64_t, std::uint64_t>> keys_;
+  std::uint64_t next_seq_ = 0;
+  int next_payload_ = 0;
+};
+
+// run_until(h) peeks at the first event past h; the caller then schedules
+// at h itself, below the time the peek reached.
+TEST(RadixHeap, ScheduleAtHorizonAfterRunUntilPeek) {
+  Simulator simulator;
+  ScheduleLog log;
+  log.at(simulator, 100, 0);
+  log.at(simulator, 150, 1);
+  log.at(simulator, 200, 2);
+  log.at(simulator, 150, 3);
+  simulator.run_until(SimTime(120));
+  ASSERT_EQ(log.fired, (std::vector<int>{0}));
+  log.at(simulator, 120, 4);  // at the horizon, below the peeked 150
+  log.at(simulator, 150, 5);
+  log.at(simulator, 130, 6);
+  log.at(simulator, 120, 7);
+  simulator.run_all();
+  EXPECT_EQ(log.fired, log.expected());
+  EXPECT_EQ(log.fired, (std::vector<int>{0, 4, 7, 6, 1, 3, 5, 2}));
+}
+
+TEST(RadixHeap, RunUntilPeekSweep) {
+  util::Rng rng(41);
+  Simulator simulator;
+  ScheduleLog log;
+  int payload = 0;
+  for (int i = 0; i < 300; ++i) {
+    log.at(simulator, static_cast<std::int64_t>(rng.below(50'000'000)),
+           payload++);
+  }
+  for (int round = 0; round < 400; ++round) {
+    const std::int64_t h =
+        simulator.now().nanos() + static_cast<std::int64_t>(rng.below(200'000));
+    simulator.run_until(SimTime(h));
+    // Some at the horizon itself, the rest anywhere ahead.
+    for (int i = 0; i < 3; ++i) log.at(simulator, h, payload++);
+    for (int i = 0; i < 3; ++i) {
+      log.at(simulator, h + static_cast<std::int64_t>(rng.below(1'000'000)),
+             payload++);
+    }
+  }
+  simulator.run_all();
+  EXPECT_EQ(log.fired.size(), log.scheduled.size());
+  EXPECT_EQ(log.fired, log.expected());
+}
+
+// A bucket's minimum is kept as a lower bound; cancelling the record that
+// set it must not disturb the order of the rest.
+TEST(RadixHeap, CancelBucketMinimumThenPop) {
+  {
+    EventQueue q;
+    ReferenceQueue ref;
+    std::vector<int> fired;
+    // 1000..1020 share bucket 10 relative to time zero; 1000 sets its min.
+    const EventId min_id = ref.push(q, 1000, fired);
+    ref.push(q, 1020, fired);
+    ref.push(q, 1010, fired);
+    ref.push(q, 1010, fired);
+    ref.push(q, 5000, fired);
+    ASSERT_TRUE(ref.cancel(q, min_id));
+    while (ref.size() > 0) ref.pop(q, fired);
+    EXPECT_TRUE(q.empty());
+  }
+  util::Rng rng(43);
+  EventQueue q;
+  ReferenceQueue ref;
+  std::vector<int> fired;
+  std::int64_t clock = 0;
+  for (int round = 0; round < 500; ++round) {
+    // A cluster a random distance ahead, its minimum pushed at a random
+    // position, then the minimum cancelled before anything pops.
+    const std::int64_t base =
+        clock + 1 + static_cast<std::int64_t>(rng.below(1u << (1 + rng.below(30))));
+    const auto n = 2 + rng.below(6);
+    const auto min_at = rng.below(n);
+    EventId min_id = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const EventId id = ref.push(
+          q, i == min_at ? base : base + 1 + static_cast<std::int64_t>(rng.below(64)),
+          fired);
+      if (i == min_at) min_id = id;
+    }
+    ASSERT_TRUE(ref.cancel(q, min_id));
+    for (auto pops = rng.below(n + 2); pops > 0 && ref.size() > 0; --pops) {
+      clock = ref.pop(q, fired);
+    }
+  }
+  while (ref.size() > 0) ref.pop(q, fired);
+  EXPECT_TRUE(q.empty());
+}
+
+// Equal times scheduled from ever closer clocks enter the queue in
+// different buckets (from bucket 20 down to bucket 0 itself) and must
+// still fire in schedule order, interleaved with neighbours 1 ns apart.
+TEST(RadixHeap, OneNanosecondTiesFromDifferentBuckets) {
+  for (const std::int64_t t : {1'000'000LL, 1'048'576LL, 1'048'575LL, 7LL << 40}) {
+    Simulator simulator;
+    ScheduleLog log;
+    log.at(simulator, t, 0);
+    log.at(simulator, t + 1, 1);
+    simulator.at(SimTime(t - 1000), [&] {
+      log.at(simulator, t, 2);
+      log.at(simulator, t - 1, 3);
+    });
+    simulator.at(SimTime(t - 1), [&] {
+      log.at(simulator, t + 1, 4);
+      log.at(simulator, t, 5);
+    });
+    // First of the ties to fire: adds more ties straight into bucket 0.
+    simulator.at(SimTime(t), [&] {
+      log.at(simulator, t, 6);
+      log.at(simulator, t + 1, 7);
+      log.at(simulator, t, 8);
+    });
+    simulator.run_all();
+    EXPECT_EQ(log.fired, log.expected()) << "t=" << t;
+    EXPECT_EQ(log.fired, (std::vector<int>{3, 0, 2, 5, 6, 8, 1, 4, 7}))
+        << "t=" << t;
+  }
+}
+
+TEST(RadixHeap, TimesStraddlePowersOfTwo) {
+  util::Rng rng(47);
+  for (const int bit : {32, 62}) {
+    const std::int64_t edge = std::int64_t{1} << bit;
+    EventQueue q;
+    ReferenceQueue ref;
+    std::vector<int> fired;
+    std::int64_t clock = edge - 4096;
+    ref.push(q, clock, fired);
+    ref.push(q, SimTime::max().nanos(), fired);
+    for (int step = 0; step < 4000; ++step) {
+      if (rng.below(2) == 0 || ref.size() == 1) {
+        // Within a few microseconds of the edge, on either side of it.
+        const std::int64_t lo = std::max(clock, edge - 3000);
+        const std::int64_t t = lo + static_cast<std::int64_t>(rng.below(6000));
+        ref.push(q, t, fired);
+      } else {
+        clock = ref.pop(q, fired);
+      }
+    }
+    EXPECT_GT(clock, edge);  // the pops crossed the edge
+    while (ref.size() > 0) clock = ref.pop(q, fired);
+    EXPECT_EQ(clock, SimTime::max().nanos());
+  }
+}
+
+// Hold run with the fig11_flood delay mix: ~730 pending, each pop
+// schedules a 10 ms delivery, an ~80 us transmission or an ~16 ms CBR
+// tick, and now and then a timer is cancelled.
+TEST(RadixHeap, Fig11HoldMixMatchesTwin) {
+  util::Rng rng(53);
+  EventQueue q;
+  ReferenceQueue ref;
+  std::vector<int> fired;
+  std::vector<EventId> timers;
+  constexpr std::size_t kPending = 730;
+  while (ref.size() < kPending) {
+    ref.push(q, static_cast<std::int64_t>(rng.below(16'000'000)), fired);
+  }
+  for (int step = 0; step < 100'000; ++step) {
+    const std::int64_t now = ref.pop(q, fired);
+    const auto kind = rng.below(100);
+    std::int64_t delay;
+    if (kind < 70) {
+      delay = 10'000'000;  // link delivery
+    } else if (kind < 90) {
+      delay = 80'000 + static_cast<std::int64_t>(rng.below(3)) * 8;  // tx
+    } else {
+      delay = 16'000'000 + static_cast<std::int64_t>(rng.below(2'000));  // CBR
+    }
+    const EventId id = ref.push(q, now + delay, fired);
+    if (kind == 99) timers.push_back(id);
+    if (timers.size() > 8) {
+      // Cancelled timers are replaced so the pending depth holds.
+      ref.cancel(q, timers.front());
+      timers.erase(timers.begin());
+      ref.push(q, now + 10'000'000, fired);
+    }
+  }
+  EXPECT_GE(ref.size(), kPending - 8);
+  while (ref.size() > 0) ref.pop(q, fired);
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace
