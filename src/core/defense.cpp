@@ -277,9 +277,7 @@ void HbpDefense::on_capture(sim::NodeId host, sim::Address dst,
   captured_hosts_.insert(host);
   simulator_.emit({simulator_.now(), sim::TraceVerb::kCapture, host, cause,
                    cause, static_cast<std::int32_t>(dst), -1});
-  const CaptureEvent event{host, dst, simulator_.now()};
-  captures_.push_back(event);
-  for (const auto& fn : capture_listeners_) fn(event);
+  captures_.push_back({host, dst, simulator_.now()});
 }
 
 }  // namespace hbp::core

@@ -18,7 +18,6 @@
 #include "net/control_plane.hpp"
 #include "net/network.hpp"
 #include "topo/as_map.hpp"
-#include "util/function_ref.hpp"
 
 namespace hbp::telemetry {
 class Registry;
@@ -55,10 +54,6 @@ class HbpDefense {
   // Creates HSMs for deploying ASs and registers server-pool listeners.
   void start();
 
-  // Non-owning: the listener callable must outlive the defense run.
-  using CaptureFn = util::function_ref<void(const CaptureEvent&)>;
-  void add_capture_listener(CaptureFn fn) { capture_listeners_.push_back(fn); }
-
   // --- accessors used by HSMs ---
   const HbpParams& params() const { return params_; }
   sim::Simulator& simulator() { return simulator_; }
@@ -89,6 +84,7 @@ class HbpDefense {
   void deliver(const IntermediateReport& m);
 
   // --- statistics ---
+  // The capture log, in capture order; a host appears at most once.
   const std::vector<CaptureEvent>& captures() const { return captures_; }
   std::uint64_t activations() const { return activations_; }
   std::uint64_t false_activations() const { return false_activations_; }
@@ -141,7 +137,6 @@ class HbpDefense {
   // ASs sent a request for the current/upcoming window, per server/epoch.
   std::vector<std::map<std::size_t, std::set<net::AsId>>> requested_;
 
-  std::vector<CaptureFn> capture_listeners_;
   std::vector<CaptureEvent> captures_;
   std::set<sim::NodeId> captured_hosts_;
   std::uint64_t activations_ = 0;

@@ -1,7 +1,7 @@
 // Output queues for links: the PacketQueue interface and its drop-tail FIFO.
 //
 // Pushback's ACC detects congestion from the drop history of the output
-// queue, so queues expose drop counters and an optional drop observer.
+// queue, so queues count their drops in packets and in bytes.
 #pragma once
 
 #include <cstdint>
@@ -10,15 +10,9 @@
 #include <optional>
 
 #include "sim/packet.hpp"
-#include "util/function_ref.hpp"
 #include "util/ring_buffer.hpp"
 
 namespace hbp::net {
-
-// Called with every packet the queue drops on overflow.
-// Non-owning: the observer callable must outlive the queue registration
-// (name the lambda, or bind a member function of a long-lived component).
-using DropObserver = util::function_ref<void(const sim::Packet&)>;
 
 class PacketQueue {
  public:
@@ -37,16 +31,15 @@ class PacketQueue {
   virtual std::int64_t recount_bytes() const { return byte_length(); }
 
   std::uint64_t drops() const { return drops_; }
+  std::uint64_t dropped_bytes() const { return dropped_bytes_; }
   std::uint64_t accepted() const { return accepted_; }
   // High-water mark of the queued byte total (telemetry exports).
   std::int64_t peak_bytes() const { return peak_bytes_; }
 
-  void set_drop_observer(DropObserver obs) { drop_observer_ = obs; }
-
  protected:
   void count_drop(const sim::Packet& p) {
     ++drops_;
-    if (drop_observer_) drop_observer_(p);
+    dropped_bytes_ += static_cast<std::uint64_t>(p.size_bytes);
   }
   void count_accept() { ++accepted_; }
   void note_occupancy(std::int64_t bytes) {
@@ -55,9 +48,9 @@ class PacketQueue {
 
  private:
   std::uint64_t drops_ = 0;
+  std::uint64_t dropped_bytes_ = 0;
   std::uint64_t accepted_ = 0;
   std::int64_t peak_bytes_ = 0;
-  DropObserver drop_observer_;
 };
 
 // FIFO queue with a byte-capacity bound.

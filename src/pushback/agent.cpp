@@ -9,30 +9,15 @@
 namespace hbp::pushback {
 
 PushbackAgent::PushbackAgent(PushbackSystem& system, net::Router& router)
-    : system_(system), router_(router), queue_drop_bytes_(router.port_count()) {
+    : system_(system), router_(router), drop_mark_(router.port_count()) {
   router_.add_filter(this);
   router_.add_tap(this);
-  // The queues keep non-owning refs to these thunks; reserve so push_back
-  // never relocates them.
-  drop_thunks_.reserve(router.port_count());
-  for (std::size_t p = 0; p < router.port_count(); ++p) {
-    drop_thunks_.push_back(DropThunk{this, p});
-    system_.network()
-        .link(router.id(), static_cast<int>(p))
-        .queue()
-        .set_drop_observer(drop_thunks_.back());
-  }
+  mark_drops();
 }
 
 PushbackAgent::~PushbackAgent() {
   router_.remove_filter(this);
   router_.remove_tap(this);
-  for (std::size_t p = 0; p < router_.port_count(); ++p) {
-    system_.network()
-        .link(router_.id(), static_cast<int>(p))
-        .queue()
-        .set_drop_observer({});
-  }
 }
 
 AggregateKey PushbackAgent::key_of(const sim::Packet& p) const {
@@ -42,8 +27,8 @@ AggregateKey PushbackAgent::key_of(const sim::Packet& p) const {
 PushbackAgent::Traffic& PushbackAgent::traffic(AggregateKey agg) {
   auto [it, created] = window_.try_emplace(agg);
   if (created) {
-    it->second.in_bytes.resize(queue_drop_bytes_.size());
-    it->second.out_bytes.resize(queue_drop_bytes_.size());
+    it->second.in_bytes.resize(drop_mark_.size());
+    it->second.out_bytes.resize(drop_mark_.size());
   }
   return it->second;
 }
@@ -52,13 +37,21 @@ double PushbackAgent::port_weight(std::size_t port) const {
   return port < weights_.size() ? std::max(1e-9, weights_[port]) : 1.0;
 }
 
+void PushbackAgent::mark_drops() {
+  for (std::size_t p = 0; p < drop_mark_.size(); ++p) {
+    drop_mark_[p] = system_.network()
+                        .link(router_.id(), static_cast<int>(p))
+                        .queue()
+                        .dropped_bytes();
+  }
+}
+
 PushbackAgent::Session& PushbackAgent::set_limit(AggregateKey agg,
                                                  double limit_bps) {
   auto [it, created] = sessions_.try_emplace(
       agg, TokenBucket(limit_bps, system_.params().bucket_burst_bytes,
                        system_.simulator().now()));
   Session& session = it->second;
-  session.limit_bps = limit_bps;
   if (!created) session.bucket.set_rate(limit_bps);
   return session;
 }
@@ -92,7 +85,7 @@ void PushbackAgent::on_forward(const sim::Packet& p, int in_port, int out_port) 
 
 void PushbackAgent::detect_congestion() {
   const double interval_s = system_.params().interval.to_seconds();
-  const std::size_t ports = queue_drop_bytes_.size();
+  const std::size_t ports = drop_mark_.size();
   std::vector<std::uint64_t> offered_bytes(ports, 0);
   for (const auto& [agg, t] : window_) {
     for (std::size_t p = 0; p < ports; ++p) offered_bytes[p] += t.out_bytes[p];
@@ -104,7 +97,8 @@ void PushbackAgent::detect_congestion() {
     const auto& link = system_.network().link(router_.id(), static_cast<int>(p));
     const double capacity = link.capacity_bps();
     const double drop_fraction =
-        static_cast<double>(queue_drop_bytes_[p]) / offered;
+        static_cast<double>(link.queue().dropped_bytes() - drop_mark_[p]) /
+        offered;
     const double offered_bps = offered * 8.0 / interval_s;
 
     const bool congested =
@@ -169,7 +163,7 @@ void PushbackAgent::detect_congestion() {
             : static_cast<double>(it->second.limited_bytes) * 8.0 / interval_s;
     bool congested =
         limited_bps > system_.params().min_limit_bps ||
-        session.reported_demand_bps > session.limit_bps * 1.05;
+        session.reported_demand_bps > session.bucket.rate_bps() * 1.05;
     if (!congested && it != window_.end()) {
       for (std::size_t p = 0; p < ports; ++p) {
         if (congested_port[p] && it->second.out_bytes[p] != 0) {
@@ -211,7 +205,7 @@ void PushbackAgent::propagate(AggregateKey agg, Session& session) {
   if (in_ports.empty()) return;
 
   const auto alloc =
-      maxmin_allocate_weighted(demands, weights, session.limit_bps);
+      maxmin_allocate_weighted(demands, weights, session.bucket.rate_bps());
   for (std::size_t i = 0; i < in_ports.size(); ++i) {
     // Constrain contributors that exceed their share, and keep refreshing
     // ports already under a limit (their measured demand is post-limiting,
@@ -279,7 +273,7 @@ void PushbackAgent::on_timer() {
   }
 
   // Roll the window.
-  std::fill(queue_drop_bytes_.begin(), queue_drop_bytes_.end(), 0);
+  mark_drops();
   window_.clear();
 }
 
@@ -288,7 +282,7 @@ void PushbackAgent::receive_request(AggregateKey agg, double limit_bps,
   // A downstream request never loosens this router's own limit.
   if (const auto it = sessions_.find(agg);
       it != sessions_.end() && it->second.self_originated) {
-    limit_bps = std::min(limit_bps, it->second.limit_bps);
+    limit_bps = std::min(limit_bps, it->second.bucket.rate_bps());
   }
   Session& session = set_limit(agg, limit_bps);
   session.depth = std::max(session.depth, depth);

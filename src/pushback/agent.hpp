@@ -96,16 +96,6 @@ class PushbackAgent final : public net::PacketFilter, public net::ForwardTap {
   std::uint64_t limited_drops() const { return limited_drops_; }
 
  private:
-  // Stored target for the per-port queue drop-observer ref: lives in
-  // drop_thunks_ (reserved once in the constructor) for the agent's lifetime.
-  struct DropThunk {
-    PushbackAgent* agent;
-    std::size_t port;
-    void operator()(const sim::Packet& dropped) const {
-      agent->queue_drop_bytes_[port] +=
-          static_cast<std::uint64_t>(dropped.size_bytes);
-    }
-  };
   // One aggregate's traffic in the current window.
   struct Traffic {
     // Per input port: forwarded plus locally limited bytes (its demand).
@@ -120,8 +110,7 @@ class PushbackAgent final : public net::PacketFilter, public net::ForwardTap {
   struct Session {
     explicit Session(const TokenBucket& b) : bucket(b) {}
 
-    TokenBucket bucket;
-    double limit_bps = 0.0;
+    TokenBucket bucket;  // its rate is the session's limit
     int depth = 0;
     bool self_originated = false;
     std::set<sim::NodeId> requesters;   // downstream routers holding us to it
@@ -134,6 +123,8 @@ class PushbackAgent final : public net::PacketFilter, public net::ForwardTap {
   AggregateKey key_of(const sim::Packet& p) const;
   Traffic& traffic(AggregateKey agg);
   double port_weight(std::size_t port) const;
+  // Starts a drop window: records each output queue's dropped_bytes().
+  void mark_drops();
   // The session for `agg` limited to `limit_bps`: a new one starts with a
   // full bucket, an existing one is re-rated.
   Session& set_limit(AggregateKey agg, double limit_bps);
@@ -143,9 +134,8 @@ class PushbackAgent final : public net::PacketFilter, public net::ForwardTap {
 
   PushbackSystem& system_;
   net::Router& router_;
-  // Per output port: bytes its queue dropped this window.
-  std::vector<std::uint64_t> queue_drop_bytes_;
-  std::vector<DropThunk> drop_thunks_;
+  // Per output port: its queue's dropped_bytes() when this window began.
+  std::vector<std::uint64_t> drop_mark_;
   std::vector<double> weights_;
   // Window accounting keyed by aggregate signature (destination prefix).
   std::map<AggregateKey, Traffic> window_;

@@ -52,59 +52,33 @@ double ThroughputMeter::mean_fraction(double t0, double t1) const {
   return bytes * 8.0 / (t1 - t0) / reference_bps_;
 }
 
-void CaptureRecorder::attach(telemetry::Registry& registry,
-                             double attack_start_seconds) {
-  attack_start_seconds_ = attack_start_seconds;
-  captured_counter_ = &registry.counter("scenario.capture.captured");
-  false_counter_ = &registry.counter("scenario.capture.false");
-  delay_ms_ = &registry.histogram("scenario.capture.delay_ms");
-}
-
-void CaptureRecorder::on_capture(const core::CaptureEvent& e) {
-  events_.push_back(e);
-  if (attackers_.contains(e.host)) {
-    ++captured_attackers_;
-    if (captured_counter_ != nullptr) captured_counter_->add();
-    if (delay_ms_ != nullptr) {
-      const double ms =
-          (e.when.to_seconds() - attack_start_seconds_) * 1000.0;
-      delay_ms_->record(
-          ms > 0.0 ? static_cast<std::uint64_t>(std::llround(ms)) : 0);
+CaptureScore score_captures(std::span<const core::CaptureEvent> log,
+                            const std::set<sim::NodeId>& attackers,
+                            double attack_start_seconds,
+                            telemetry::Registry& registry) {
+  auto& delay_ms = registry.histogram("scenario.capture.delay_ms");
+  CaptureScore score;
+  double delay_sum = 0.0;
+  for (const core::CaptureEvent& e : log) {
+    if (!attackers.contains(e.host)) {
+      ++score.false_captures;
+      continue;
     }
-  } else {
-    ++false_captures_;
-    if (false_counter_ != nullptr) false_counter_->add();
+    ++score.captured;
+    const double delay = e.when.to_seconds() - attack_start_seconds;
+    delay_sum += delay;
+    score.max_delay = score.captured == 1 ? delay
+                                          : std::max(score.max_delay, delay);
+    const double ms = delay * 1000.0;
+    delay_ms.record(ms > 0.0 ? static_cast<std::uint64_t>(std::llround(ms))
+                             : 0);
   }
-}
-
-double CaptureRecorder::capture_fraction() const {
-  if (attackers_.empty()) return 0.0;
-  return static_cast<double>(captured_attackers_) /
-         static_cast<double>(attackers_.size());
-}
-
-std::vector<double> CaptureRecorder::capture_delays(
-    double attack_start_seconds) const {
-  std::vector<double> out;
-  for (const auto& e : events_) {
-    if (!attackers_.contains(e.host)) continue;
-    out.push_back(e.when.to_seconds() - attack_start_seconds);
+  if (score.captured > 0) {
+    score.mean_delay = delay_sum / static_cast<double>(score.captured);
   }
-  return out;
-}
-
-double CaptureRecorder::mean_capture_delay(double attack_start_seconds) const {
-  const auto delays = capture_delays(attack_start_seconds);
-  if (delays.empty()) return -1.0;
-  double s = 0.0;
-  for (double d : delays) s += d;
-  return s / static_cast<double>(delays.size());
-}
-
-double CaptureRecorder::max_capture_delay(double attack_start_seconds) const {
-  const auto delays = capture_delays(attack_start_seconds);
-  if (delays.empty()) return -1.0;
-  return *std::max_element(delays.begin(), delays.end());
+  registry.counter("scenario.capture.captured").add(score.captured);
+  registry.counter("scenario.capture.false").add(score.false_captures);
+  return score;
 }
 
 }  // namespace hbp::scenario

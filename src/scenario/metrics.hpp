@@ -1,9 +1,10 @@
 // Experiment metrics: the client-throughput timeline of Fig. 8 and the
-// capture bookkeeping behind Figs. 6/10/11.
+// capture scoring behind Figs. 10/11.
 //
-// Both meters are backed by telemetry instruments registered on the
-// simulator's registry, so scenario metrics and substrate metrics flow
-// through one system and appear together in JSON run reports / CSV dumps:
+// The throughput meter records into telemetry instruments as the run goes;
+// the capture score is computed once at the end from the defense's capture
+// log.  Both publish on the simulator's registry, so scenario metrics and
+// substrate metrics appear together in JSON run reports / CSV dumps:
 //   scenario.goodput.bytes        time series (kSum, one bin per interval)
 //   scenario.goodput.total_bytes  counter
 //   scenario.capture.captured     counter (true attacker captures)
@@ -13,6 +14,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "core/defense.hpp"
@@ -52,42 +54,20 @@ class ThroughputMeter {
   telemetry::Counter& total_bytes_;
 };
 
-// Scores capture events against the ground-truth attacker set.
-class CaptureRecorder {
- public:
-  void set_attackers(std::set<sim::NodeId> attackers) {
-    attackers_ = std::move(attackers);
-  }
-
-  // Optional: also publish capture counts and the capture-delay histogram
-  // (delays measured from `attack_start_seconds`, in milliseconds) as
-  // scenario.capture.* instruments.
-  void attach(telemetry::Registry& registry, double attack_start_seconds);
-
-  // Wire as an HbpDefense capture listener.
-  void on_capture(const core::CaptureEvent& e);
-
-  std::size_t attackers_captured() const { return captured_attackers_; }
-  std::size_t false_captures() const { return false_captures_; }
-  double capture_fraction() const;
-
-  // Capture delays measured from `attack_start`; empty if none captured.
-  std::vector<double> capture_delays(double attack_start_seconds) const;
-  double mean_capture_delay(double attack_start_seconds) const;
-  double max_capture_delay(double attack_start_seconds) const;
-
-  const std::vector<core::CaptureEvent>& events() const { return events_; }
-
- private:
-  std::set<sim::NodeId> attackers_;
-  std::vector<core::CaptureEvent> events_;
-  std::size_t captured_attackers_ = 0;
-  std::size_t false_captures_ = 0;
-
-  double attack_start_seconds_ = 0.0;
-  telemetry::Counter* captured_counter_ = nullptr;
-  telemetry::Counter* false_counter_ = nullptr;
-  telemetry::Log2Histogram* delay_ms_ = nullptr;
+// A run's capture log scored against the ground-truth attacker set.
+struct CaptureScore {
+  std::size_t captured = 0;        // attacker hosts captured
+  std::size_t false_captures = 0;  // innocent hosts cut off
+  double mean_delay = -1.0;        // seconds from attack start; -1 if none
+  double max_delay = -1.0;
 };
+
+// Scores `log` (HbpDefense::captures(); empty for other schemes) against
+// `attackers` and publishes the scenario.capture.* instruments on
+// `registry`, delays in milliseconds from `attack_start_seconds`.
+CaptureScore score_captures(std::span<const core::CaptureEvent> log,
+                            const std::set<sim::NodeId>& attackers,
+                            double attack_start_seconds,
+                            telemetry::Registry& registry);
 
 }  // namespace hbp::scenario

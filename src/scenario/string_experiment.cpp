@@ -58,16 +58,6 @@ StringResult run_string_experiment(const StringExperimentConfig& config,
   core::HbpDefense defense(simulator, network, control, pool, topo.as_map, hbp);
   defense.start();
 
-  StringResult result;
-  // Named (not a temporary): the defense keeps a non-owning ref for the run.
-  auto on_capture = [&](const core::CaptureEvent& e) {
-    if (e.host == topo.attacker_host && !result.captured) {
-      result.captured = true;
-      result.capture_seconds = e.when.to_seconds();
-    }
-  };
-  defense.add_capture_listener(on_capture);
-
   pool.start();
 
   util::Rng attacker_rng(util::derive_seed(seed, 3));
@@ -105,12 +95,19 @@ StringResult run_string_experiment(const StringExperimentConfig& config,
 
   // Run until captured or the horizon; step epoch by epoch so we can stop
   // early without simulating the full horizon.
+  StringResult result;
   const sim::SimTime horizon = sim::SimTime::seconds(config.horizon_seconds);
   sim::SimTime t = sim::SimTime::zero();
   const sim::SimTime step = sim::SimTime::seconds(config.m);
   while (!result.captured && t < horizon) {
     t = t + step;
     simulator.run_until(t < horizon ? t : horizon);
+    for (const core::CaptureEvent& e : defense.captures()) {
+      if (e.host != topo.attacker_host) continue;
+      result.captured = true;
+      result.capture_seconds = e.when.to_seconds();
+      break;
+    }
   }
 
   result.control_messages = control.total_messages();

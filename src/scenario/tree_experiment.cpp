@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -171,15 +173,6 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
     meter.on_delivery(server, p);
   };
   pool.add_delivery_listener(on_delivery);
-  CaptureRecorder recorder;
-  recorder.attach(simulator.telemetry(), config.attack_start);
-  {
-    std::set<sim::NodeId> attacker_nodes;
-    for (const std::size_t i : attacker_slots) {
-      attacker_nodes.insert(tree.leaf_hosts[i]);
-    }
-    recorder.set_attackers(std::move(attacker_nodes));
-  }
 
   // --- defense ---
   net::ControlPlane::Params cp_params;
@@ -225,9 +218,6 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
     defense = std::make_unique<core::HbpDefense>(simulator, network, control,
                                                  pool, tree.as_map, hbp);
     defense->start();
-    defense->add_capture_listener(
-        core::HbpDefense::CaptureFn::bind<&CaptureRecorder::on_capture>(
-            recorder));
   }
 
   pool.start();
@@ -355,10 +345,18 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
                                 : 0.0;
   result.timeline = meter.timeline(config.sim_seconds);
   result.attackers = attacker_slots.size();
-  result.captured = recorder.attackers_captured();
-  result.false_captures = recorder.false_captures();
-  result.mean_capture_delay = recorder.mean_capture_delay(config.attack_start);
-  result.max_capture_delay = recorder.max_capture_delay(config.attack_start);
+  std::set<sim::NodeId> attacker_nodes;
+  for (const std::size_t i : attacker_slots) {
+    attacker_nodes.insert(tree.leaf_hosts[i]);
+  }
+  std::span<const core::CaptureEvent> captures;
+  if (defense) captures = defense->captures();
+  const CaptureScore score = score_captures(
+      captures, attacker_nodes, config.attack_start, simulator.telemetry());
+  result.captured = score.captured;
+  result.false_captures = score.false_captures;
+  result.mean_capture_delay = score.mean_delay;
+  result.max_capture_delay = score.max_delay;
   if (config.tcp_downloads > 0 && config.attack_start > 1.0) {
     result.tcp_goodput_before =
         static_cast<double>(tcp_delivered_at_start - tcp_delivered_at_one) *

@@ -84,10 +84,6 @@ class EventQueue {
   // Slots ever created; bounded by the peak number of concurrently pending
   // events (slots recycle through a free list, never accumulate).
   std::size_t slot_capacity() const { return slots_.size(); }
-  // Records inside the ordering structure.  Cancel unlinks its record at
-  // once, so these are exactly the live events and none is ever stale.
-  std::size_t backlog_items() const { return live_count_; }
-  std::size_t stale_items() const { return 0; }
 
  private:
   // Ordering record of slot i, at nodes_[i]: the key plus the links of the

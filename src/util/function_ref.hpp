@@ -2,12 +2,12 @@
 // trivially copyable, never allocates.
 //
 // LIFETIME CONTRACT: a function_ref borrows its target.  Whoever stores one
-// (queue drop observers, server-pool listeners, capture listeners, host
-// receivers) requires the callable to outlive the registration.  Never pass
-// a temporary lambda to an API that keeps the ref beyond the call — name the
-// lambda (or use bind<>() on a member function) so it lives as long as the
-// component that will invoke it.  Passing temporaries to synchronous
-// consumers (ThreadPool::parallel_for) is fine.
+// (server-pool listeners, host receivers, simulator trace hooks) requires
+// the callable to outlive the registration.  Never pass a temporary lambda
+// to an API that keeps the ref beyond the call — name the lambda (or use
+// bind<>() on a member function) so it lives as long as the component that
+// will invoke it.  Passing temporaries to synchronous consumers
+// (ThreadPool::parallel_for) is fine.
 #pragma once
 
 #include <functional>

@@ -44,14 +44,15 @@ TEST(DropTailQueue, SmallPacketFitsAfterBigRejected) {
   EXPECT_TRUE(q.enqueue(packet(400)));
 }
 
-TEST(DropTailQueue, DropObserverSeesDroppedPacket) {
+TEST(DropTailQueue, CountsDroppedBytes) {
   DropTailQueue q(1000);
-  std::uint64_t dropped_uid = 0;
-  auto on_drop = [&](const sim::Packet& p) { dropped_uid = p.uid; };
-  q.set_drop_observer(on_drop);
-  q.enqueue(packet(800, 1));
-  q.enqueue(packet(800, 2));
-  EXPECT_EQ(dropped_uid, 2u);
+  EXPECT_TRUE(q.enqueue(packet(800)));
+  EXPECT_FALSE(q.enqueue(packet(700)));
+  EXPECT_FALSE(q.enqueue(packet(300)));
+  EXPECT_TRUE(q.enqueue(packet(200)));  // fills the queue exactly
+  EXPECT_EQ(q.drops(), 2u);
+  EXPECT_EQ(q.dropped_bytes(), 1000u);
+  EXPECT_EQ(q.accepted(), 2u);
 }
 
 }  // namespace

@@ -206,6 +206,33 @@ TEST_F(PushbackFixture, NoSessionsWithoutCongestion) {
   EXPECT_EQ(system->requests_sent(), 0u);
 }
 
+TEST_F(PushbackFixture, DropsBeforeInstallDoNotCount) {
+  // A flood fills the thin link's queue and stops as the agents install;
+  // a client then overflows the link by ~2.5%, under the 5% drop-rate
+  // threshold.  The flood's drops predate every window, so no window may
+  // count them as congestion.
+  traffic::CbrParams flood;
+  flood.rate_bps = 10e6;
+  flood.is_attack = true;
+  flood.stop = sim::SimTime::seconds(1);
+  traffic::CbrSource bad(simulator, *attacker, rng, flood,
+                         [this] { return server->address(); },
+                         traffic::random_spoof());
+  bad.start();
+  util::Rng rng2(99);
+  traffic::CbrParams legit;
+  legit.rate_bps = 2.05e6;
+  traffic::CbrSource good(simulator, *client, rng2, legit,
+                          [this] { return server->address(); });
+  good.start();
+  simulator.run_until(sim::SimTime::seconds(1));
+  ASSERT_GT(network.link(congested->id(), 0).queue().drops(), 0u);
+  install_all();
+  simulator.run_until(sim::SimTime::seconds(6));
+  EXPECT_EQ(system->total_sessions(), 0u);
+  EXPECT_EQ(system->requests_sent(), 0u);
+}
+
 TEST_F(PushbackFixture, WeightedSplitFavorsHeavyPorts) {
   // Level-k flavour: the same flood and client twice, the second time with
   // up_b (the client side, port 2 of the congested router) weighted 10.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "telemetry/registry.hpp"
+
 namespace hbp::scenario {
 namespace {
 
@@ -59,34 +63,45 @@ TEST(ThroughputMeter, MeanFractionOverWindow) {
   EXPECT_DOUBLE_EQ(meter.mean_fraction(3.0, 4.0), 0.0);
 }
 
-TEST(CaptureRecorder, ScoresAgainstGroundTruth) {
-  CaptureRecorder recorder;
-  recorder.set_attackers({10, 11, 12});
-  recorder.on_capture({10, 1, sim::SimTime::seconds(12)});
-  recorder.on_capture({99, 1, sim::SimTime::seconds(13)});  // innocent!
-  recorder.on_capture({11, 1, sim::SimTime::seconds(20)});
-  EXPECT_EQ(recorder.attackers_captured(), 2u);
-  EXPECT_EQ(recorder.false_captures(), 1u);
-  EXPECT_NEAR(recorder.capture_fraction(), 2.0 / 3.0, 1e-12);
+TEST(ScoreCaptures, ScoresAgainstGroundTruth) {
+  telemetry::Registry registry;
+  const std::vector<core::CaptureEvent> log{
+      {10, 1, sim::SimTime::seconds(12)},
+      {99, 1, sim::SimTime::seconds(13)},  // innocent!
+      {11, 1, sim::SimTime::seconds(20)}};
+  const CaptureScore score = score_captures(log, {10, 11, 12}, 0.0, registry);
+  EXPECT_EQ(score.captured, 2u);
+  EXPECT_EQ(score.false_captures, 1u);
+  EXPECT_EQ(registry.find_counter("scenario.capture.captured")->value(), 2u);
+  EXPECT_EQ(registry.find_counter("scenario.capture.false")->value(), 1u);
 }
 
-TEST(CaptureRecorder, DelaysMeasuredFromAttackStart) {
-  CaptureRecorder recorder;
-  recorder.set_attackers({1, 2});
-  recorder.on_capture({1, 5, sim::SimTime::seconds(15)});
-  recorder.on_capture({2, 5, sim::SimTime::seconds(25)});
-  EXPECT_DOUBLE_EQ(recorder.mean_capture_delay(5.0), 15.0);
-  EXPECT_DOUBLE_EQ(recorder.max_capture_delay(5.0), 20.0);
-  const auto delays = recorder.capture_delays(5.0);
-  EXPECT_EQ(delays.size(), 2u);
+TEST(ScoreCaptures, DelaysMeasuredFromAttackStart) {
+  telemetry::Registry registry;
+  const std::vector<core::CaptureEvent> log{
+      {1, 5, sim::SimTime::seconds(15)}, {2, 5, sim::SimTime::seconds(25)}};
+  const CaptureScore score = score_captures(log, {1, 2}, 5.0, registry);
+  EXPECT_DOUBLE_EQ(score.mean_delay, 15.0);
+  EXPECT_DOUBLE_EQ(score.max_delay, 20.0);
+  const auto* delay_ms = registry.find_histogram("scenario.capture.delay_ms");
+  ASSERT_NE(delay_ms, nullptr);
+  EXPECT_EQ(delay_ms->count(), 2u);
+  EXPECT_EQ(delay_ms->max(), 20'000u);
 }
 
-TEST(CaptureRecorder, NoCapturesSentinel) {
-  CaptureRecorder recorder;
-  recorder.set_attackers({1});
-  EXPECT_DOUBLE_EQ(recorder.mean_capture_delay(0.0), -1.0);
-  EXPECT_DOUBLE_EQ(recorder.max_capture_delay(0.0), -1.0);
-  EXPECT_DOUBLE_EQ(recorder.capture_fraction(), 0.0);
+TEST(ScoreCaptures, NoCapturesSentinel) {
+  // Innocent captures alone leave the delays at the -1 sentinel, and the
+  // instruments are registered even when nothing was captured.
+  telemetry::Registry registry;
+  const std::vector<core::CaptureEvent> log{{7, 1, sim::SimTime::seconds(3)}};
+  const CaptureScore score = score_captures(log, {1}, 0.0, registry);
+  EXPECT_EQ(score.captured, 0u);
+  EXPECT_DOUBLE_EQ(score.mean_delay, -1.0);
+  EXPECT_DOUBLE_EQ(score.max_delay, -1.0);
+  const CaptureScore empty = score_captures({}, {1}, 0.0, registry);
+  EXPECT_EQ(empty.false_captures, 0u);
+  EXPECT_DOUBLE_EQ(empty.mean_delay, -1.0);
+  EXPECT_EQ(registry.find_histogram("scenario.capture.delay_ms")->count(), 0u);
 }
 
 }  // namespace

@@ -241,9 +241,8 @@ TEST_P(TwinSchedulerStress, IdenticalPopOrderAndDigest) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TwinSchedulerStress,
                          ::testing::Values(11, 22, 33));
 
-// Lazy cancellation must not let bookkeeping grow without bound: stale
-// ordering records are compacted once they outnumber the live ones, and
-// slots recycle through the free list instead of accumulating.
+// Cancel churn must not let bookkeeping grow without bound: slots recycle
+// through the free list instead of accumulating.
 TEST(BoundedCancelState, CancelChurnStaysBounded) {
   util::Rng rng(5);
   EventQueue q;
@@ -261,14 +260,10 @@ TEST(BoundedCancelState, CancelChurnStaysBounded) {
       EXPECT_TRUE(q.cancel(ids[idx]));
       ids[idx] = ids.back();
       ids.pop_back();
-      // Invariant after every cancel: stale records never exceed
-      // max(live, compaction threshold).
-      ASSERT_LE(q.stale_items(), std::max<std::size_t>(64, q.size()));
     }
     ASSERT_TRUE(q.empty());
     // All slots ever needed fit the per-round peak; churn adds none.
     ASSERT_LE(q.slot_capacity(), kBatch);
-    ASSERT_LE(q.backlog_items(), std::max<std::size_t>(64, q.size()));
   }
 }
 

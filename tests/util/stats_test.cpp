@@ -72,22 +72,6 @@ TEST(RunningStats, CiShrinksWithSamples) {
   EXPECT_GT(small.ci95_halfwidth(), large.ci95_halfwidth());
 }
 
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);   // clamps to bin 0
-  h.add(0.5);
-  h.add(3.0);
-  h.add(9.999);
-  h.add(42.0);   // clamps to last bin
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-  EXPECT_DOUBLE_EQ(h.frequency(0), 0.4);
-}
-
 TEST(IntCounter, FrequenciesAndMean) {
   IntCounter c;
   c.add(2);
