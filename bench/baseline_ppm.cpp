@@ -16,7 +16,6 @@
 #include "scenario/string_experiment.hpp"
 #include "topo/string_topo.hpp"
 #include "traffic/cbr.hpp"
-#include "traffic/spoof.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -64,8 +63,7 @@ PpmRun run_ppm(int hops, double rate_bps, bool compromised,
   cbr.is_attack = true;
   traffic::CbrSource attacker(
       simulator, static_cast<net::Host&>(network.node(topo.attacker_host)),
-      attacker_rng, cbr, [&topo] { return topo.server_addr; },
-      traffic::random_spoof());
+      attacker_rng, cbr, [&topo] { return topo.server_addr; });
   attacker.start();
 
   std::vector<std::int32_t> path{topo.gateway};

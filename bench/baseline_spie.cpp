@@ -18,7 +18,6 @@
 #include "net/host.hpp"
 #include "topo/tree.hpp"
 #include "traffic/cbr.hpp"
-#include "traffic/spoof.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 

@@ -3,6 +3,7 @@
 //
 //   ./build/examples/simulate --scheme=hbp --attackers=50 --rate_mbps=0.5
 //       --placement=close --leaves=500 --csv=timeline.csv
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -51,7 +52,8 @@ int main(int argc, char** argv) {
   config.attack_end =
       flags.get_double("attack_end", config.sim_seconds - 5.0);
   config.epoch_seconds = flags.get_double("epoch", 10.0);
-  config.k_active = static_cast<int>(flags.get_int("k", 3));
+  const std::int64_t k_active = flags.get_int("k", 3);
+  config.k_active = static_cast<int>(k_active);
   if (flags.has("t_on")) {
     config.onoff_t_on = flags.get_double("t_on", 2.0);
     config.onoff_t_off = flags.get_double("t_off", 8.0);
@@ -79,6 +81,30 @@ int main(int argc, char** argv) {
                  "--attack_start=%g --attack_end=%g --duration=%g "
                  "(--attack_end defaults to --duration minus 5)\n",
                  config.attack_start, config.attack_end, config.sim_seconds);
+    return 2;
+  }
+  // Out-of-range knobs are usage errors naming the flag, not assertion
+  // aborts deep in the schedule or the traffic source.
+  if (config.scheme == scenario::Scheme::kHbp &&
+      (k_active < 1 || k_active > config.tree.server_count)) {
+    std::fprintf(stderr,
+                 "need 1 <= --k <= %d (the servers in the pool), got --k=%lld\n",
+                 config.tree.server_count, static_cast<long long>(k_active));
+    return 2;
+  }
+  if (!(config.epoch_seconds >= 1e-9)) {
+    std::fprintf(stderr, "need --epoch >= 1e-9 (one nanosecond), got --epoch=%g\n",
+                 config.epoch_seconds);
+    return 2;
+  }
+  if (config.n_attackers > 0 && !(config.attacker_rate_bps > 0)) {
+    std::fprintf(stderr, "need --rate_mbps > 0 with attackers, got --rate_mbps=%g\n",
+                 config.attacker_rate_bps / 1e6);
+    return 2;
+  }
+  if (config.n_clients > 0 && !(config.legit_load > 0)) {
+    std::fprintf(stderr, "need --legit_load > 0 with clients, got --legit_load=%g\n",
+                 config.legit_load);
     return 2;
   }
 

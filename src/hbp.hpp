@@ -22,7 +22,6 @@
 #include "traffic/follower.hpp"     // IWYU pragma: export
 #include "traffic/onoff.hpp"        // IWYU pragma: export
 #include "traffic/probe.hpp"        // IWYU pragma: export
-#include "traffic/spoof.hpp"        // IWYU pragma: export
 #include "transport/tcp.hpp"        // IWYU pragma: export
 
 // Roaming honeypots.

@@ -57,7 +57,7 @@ void InvariantChecker::check_into(std::vector<std::string>& out,
     const char* name = network_.node(id).name().c_str();
     for (std::size_t port = 0; port < network_.link_count(id); ++port) {
       const Link& link = network_.link(id, static_cast<int>(port));
-      const PacketQueue& queue = link.queue();
+      const DropTailQueue& queue = link.queue();
       accepted += queue.accepted();
       queue_drops += queue.drops();
       link_delivered += link.packets_delivered();

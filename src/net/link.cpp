@@ -15,18 +15,14 @@ Link::Link(sim::Simulator& simulator, Network& network, sim::NodeId from_node,
       to_node_(to_node),
       to_port_(to_port),
       capacity_bps_(params.capacity_bps),
-      delay_(params.delay) {
+      delay_(params.delay),
+      queue_(params.queue_bytes) {
   HBP_ASSERT(params.capacity_bps > 0);
-  if (params.queue_factory) {
-    queue_ = params.queue_factory();
-  } else {
-    queue_ = std::make_unique<DropTailQueue>(params.queue_bytes);
-  }
 }
 
 void Link::send(sim::Packet&& p) {
   const std::uint64_t uid = p.uid;
-  if (!queue_->enqueue(std::move(p))) {
+  if (!queue_.enqueue(std::move(p))) {
     // Dropped; counted by the queue.
     simulator_.emit({simulator_.now(), sim::TraceVerb::kQueueDrop, from_node_,
                      uid, 0, to_node_, to_port_});
@@ -38,7 +34,7 @@ void Link::send(sim::Packet&& p) {
 }
 
 void Link::start_transmission() {
-  auto next = queue_->dequeue();
+  auto next = queue_.dequeue();
   if (!next) {
     transmitting_ = false;
     return;

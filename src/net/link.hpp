@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "net/queue.hpp"
 #include "sim/packet.hpp"
@@ -16,9 +15,6 @@ struct LinkParams {
   double capacity_bps = 10e6;
   sim::SimTime delay = sim::SimTime::millis(1);
   std::int64_t queue_bytes = 64'000;
-  // Unset in every model run: the link builds a DropTailQueue(queue_bytes).
-  // It is the seam through which the invariant tests inject faulty queues.
-  QueueFactory queue_factory;
 };
 
 class Network;
@@ -35,8 +31,8 @@ class Link {
   int to_port() const { return to_port_; }
   double capacity_bps() const { return capacity_bps_; }
   sim::SimTime delay() const { return delay_; }
-  PacketQueue& queue() { return *queue_; }
-  const PacketQueue& queue() const { return *queue_; }
+  DropTailQueue& queue() { return queue_; }
+  const DropTailQueue& queue() const { return queue_; }
 
   std::uint64_t packets_delivered() const { return delivered_; }
   std::uint64_t bytes_delivered() const { return bytes_delivered_; }
@@ -51,7 +47,7 @@ class Link {
   int to_port_;
   double capacity_bps_;
   sim::SimTime delay_;
-  std::unique_ptr<PacketQueue> queue_;
+  DropTailQueue queue_;
   bool transmitting_ = false;
   std::uint64_t delivered_ = 0;
   std::uint64_t bytes_delivered_ = 0;

@@ -141,7 +141,7 @@ void Network::export_telemetry(telemetry::Registry& registry) const {
   auto& drop_hist = registry.histogram("net.queue.drops_per_queue");
   for (std::size_t n = 0; n < links_.size(); ++n) {
     for (std::size_t port = 0; port < links_[n].size(); ++port) {
-      const PacketQueue& q = links_[n][port]->queue();
+      const DropTailQueue& q = links_[n][port]->queue();
       peak_hist.record(static_cast<std::uint64_t>(q.peak_bytes()));
       if (q.drops() == 0) continue;
       drop_hist.record(q.drops());

@@ -11,12 +11,13 @@ DropTailQueue::DropTailQueue(std::int64_t capacity_bytes)
 
 bool DropTailQueue::enqueue(sim::Packet&& p) {
   if (bytes_ + p.size_bytes > capacity_bytes_) {
-    count_drop(p);
+    ++drops_;
+    dropped_bytes_ += static_cast<std::uint64_t>(p.size_bytes);
     return false;
   }
   bytes_ += p.size_bytes;
-  count_accept();
-  note_occupancy(bytes_);
+  ++accepted_;
+  if (bytes_ > peak_bytes_) peak_bytes_ = bytes_;
   q_.push_back(std::move(p));
   return true;
 }

@@ -10,7 +10,6 @@
 #include "traffic/cbr.hpp"
 #include "traffic/follower.hpp"
 #include "traffic/onoff.hpp"
-#include "traffic/spoof.hpp"
 #include "util/rng.hpp"
 
 namespace hbp::scenario {
@@ -69,8 +68,7 @@ StringResult run_string_experiment(const StringExperimentConfig& config,
   cbr.start = sim::SimTime::zero();
   cbr.is_attack = true;
   traffic::CbrSource attacker(simulator, attacker_host, attacker_rng, cbr,
-                              [addr = topo.server_addr] { return addr; },
-                              traffic::random_spoof());
+                              [addr = topo.server_addr] { return addr; });
 
   std::unique_ptr<traffic::OnOffShaper> shaper;
   std::unique_ptr<traffic::FollowerShaper> follower;

@@ -12,7 +12,6 @@
 #include "traffic/follower.hpp"
 #include "traffic/onoff.hpp"
 #include "traffic/probe.hpp"
-#include "traffic/spoof.hpp"
 #include "transport/tcp.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -289,8 +288,7 @@ TreeResult run_tree_experiment(const TreeExperimentConfig& config,
     params.stop = sim::SimTime::seconds(config.attack_end);
     params.is_attack = true;
     attackers.push_back(std::make_unique<traffic::CbrSource>(
-        simulator, host, rng, params, [target] { return target; },
-        traffic::random_spoof()));
+        simulator, host, rng, params, [target] { return target; }));
 
     if (config.onoff_t_on) {
       shapers.push_back(std::make_unique<traffic::OnOffShaper>(

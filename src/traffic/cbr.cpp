@@ -5,13 +5,12 @@
 namespace hbp::traffic {
 
 CbrSource::CbrSource(sim::Simulator& simulator, net::Host& host, util::Rng& rng,
-                     const CbrParams& params, DstFn dst_fn, SpoofFn spoof)
+                     const CbrParams& params, DstFn dst_fn)
     : simulator_(simulator),
       host_(host),
       rng_(rng),
       params_(params),
-      dst_fn_(std::move(dst_fn)),
-      spoof_(std::move(spoof)) {
+      dst_fn_(std::move(dst_fn)) {
   HBP_ASSERT(params.rate_bps > 0);
   HBP_ASSERT(params.packet_size > 0);
   interval_ = sim::transmission_time(params.packet_size, params.rate_bps);
@@ -40,7 +39,10 @@ void CbrSource::tick() {
     if (dst != 0) {
       sim::Packet p;
       p.type = params_.type;
-      p.src = spoof_(rng_, host_.address());
+      // Forged sources skip 0, the unassigned-address marker.
+      p.src = params_.is_attack
+                  ? static_cast<sim::Address>(rng_.below(0xffffffffULL) + 1)
+                  : host_.address();
       p.dst = dst;
       p.size_bytes = params_.packet_size;
       p.is_attack = params_.is_attack;

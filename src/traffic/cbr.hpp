@@ -13,7 +13,6 @@
 
 #include "net/host.hpp"
 #include "sim/simulator.hpp"
-#include "traffic/spoof.hpp"
 #include "util/rng.hpp"
 
 namespace hbp::traffic {
@@ -24,6 +23,12 @@ struct CbrParams {
   sim::SimTime start = sim::SimTime::zero();
   sim::SimTime stop = sim::SimTime::max();
   sim::PacketType type = sim::PacketType::kData;
+  // An attack source is a zombie: it labels its packets as attack traffic
+  // (ground truth for scoring) and forges a uniformly random, non-zero
+  // 32-bit source address on every packet (Section 3), the hardest case for
+  // source-address filtering and blacklisting.  Routing never reads the
+  // source, so forged values need not belong to any host.  Any other source
+  // writes its host's own address.
   bool is_attack = false;
 };
 
@@ -33,8 +38,7 @@ class CbrSource {
   using DstFn = std::function<sim::Address()>;
 
   CbrSource(sim::Simulator& simulator, net::Host& host, util::Rng& rng,
-            const CbrParams& params, DstFn dst_fn,
-            SpoofFn spoof = no_spoof());
+            const CbrParams& params, DstFn dst_fn);
   // Cancels the pending tick: its closure points at this source.
   ~CbrSource();
 
@@ -62,7 +66,6 @@ class CbrSource {
   util::Rng& rng_;
   CbrParams params_;
   DstFn dst_fn_;
-  SpoofFn spoof_;
   sim::SimTime interval_;
   bool paused_ = false;
   std::uint64_t sent_ = 0;

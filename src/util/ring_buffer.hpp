@@ -18,7 +18,6 @@ class RingBuffer {
  public:
   bool empty() const noexcept { return count_ == 0; }
   std::size_t size() const noexcept { return count_; }
-  std::size_t capacity() const noexcept { return slots_.size(); }
 
   T& front() { return slots_[head_]; }
   const T& front() const { return slots_[head_]; }
@@ -32,11 +31,6 @@ class RingBuffer {
   void pop_front() {
     head_ = (head_ + 1) & mask_;
     --count_;
-  }
-
-  void clear() noexcept {
-    head_ = 0;
-    count_ = 0;
   }
 
   // In FIFO order; Fn(const T&).

@@ -19,7 +19,6 @@
 #include "topo/string_topo.hpp"
 #include "trace/tracer.hpp"
 #include "traffic/cbr.hpp"
-#include "traffic/spoof.hpp"
 #include "util/rng.hpp"
 
 namespace hbp::core {
@@ -65,8 +64,7 @@ struct HbpStringFixture : public ::testing::Test {
     params.is_attack = true;
     attacker = std::make_unique<traffic::CbrSource>(
         simulator, static_cast<net::Host&>(network.node(topo.attacker_host)),
-        rng, params, [this] { return topo.server_addr; },
-        traffic::random_spoof());
+        rng, params, [this] { return topo.server_addr; });
     attacker->start();
   }
 

@@ -11,7 +11,6 @@
 #include "net/network.hpp"
 #include "topo/string_topo.hpp"
 #include "traffic/cbr.hpp"
-#include "traffic/spoof.hpp"
 #include "util/rng.hpp"
 
 namespace hbp::core {
@@ -47,8 +46,7 @@ TEST_P(MessageFuzz, RandomMessagesNeverCrashOrFrame) {
   cbr.is_attack = true;
   traffic::CbrSource attacker(
       simulator, static_cast<net::Host&>(network.node(topo.attacker_host)),
-      attacker_rng, cbr, [&topo] { return topo.server_addr; },
-      traffic::random_spoof());
+      attacker_rng, cbr, [&topo] { return topo.server_addr; });
   attacker.start();
 
   // Interleave simulation progress with random message injections.

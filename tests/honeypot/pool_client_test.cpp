@@ -10,7 +10,6 @@
 #include "honeypot/server_pool.hpp"
 #include "net/network.hpp"
 #include "net/router.hpp"
-#include "traffic/spoof.hpp"
 
 namespace hbp::honeypot {
 namespace {
@@ -113,8 +112,7 @@ TEST_F(PoolFixture, AttackOnFixedServerHitsHoneypotWindows) {
   params.rate_bps = 0.8e6;
   params.is_attack = true;
   traffic::CbrSource attacker(simulator, *attacker_host, rng, params,
-                              [this] { return server_addrs[0]; },
-                              traffic::random_spoof());
+                              [this] { return server_addrs[0]; });
   attacker.start();
   simulator.run_until(sim::SimTime::seconds(100));
   EXPECT_GT(hits, 100);

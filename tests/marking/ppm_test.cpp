@@ -8,7 +8,6 @@
 #include "net/host.hpp"
 #include "topo/string_topo.hpp"
 #include "traffic/cbr.hpp"
-#include "traffic/spoof.hpp"
 
 namespace hbp::marking {
 namespace {
@@ -48,8 +47,7 @@ struct PpmFixture : public ::testing::Test {
     cbr.is_attack = true;
     attacker = std::make_unique<traffic::CbrSource>(
         *simulator, static_cast<net::Host&>(network->node(topo.attacker_host)),
-        *attacker_rng, cbr, [this] { return topo.server_addr; },
-        traffic::random_spoof());
+        *attacker_rng, cbr, [this] { return topo.server_addr; });
     attacker->start();
   }
 

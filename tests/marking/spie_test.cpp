@@ -8,7 +8,6 @@
 #include "net/host.hpp"
 #include "topo/string_topo.hpp"
 #include "traffic/cbr.hpp"
-#include "traffic/spoof.hpp"
 
 namespace hbp::marking {
 namespace {

@@ -8,7 +8,6 @@
 #include "net/network.hpp"
 #include "topo/tree.hpp"
 #include "traffic/cbr.hpp"
-#include "traffic/spoof.hpp"
 
 namespace hbp::marking {
 namespace {

@@ -1,79 +1,38 @@
-// InvariantChecker: a healthy network always passes; deliberately broken
-// queue disciplines (lost packets, corrupted byte ledger) are detected.
+// InvariantChecker: a healthy network always passes; queues broken behind
+// their accounting (lost packets, corrupted byte ledger) are detected.
 #include "net/invariant_checker.hpp"
 
 #include <gtest/gtest.h>
 
-#include <deque>
-#include <memory>
-#include <optional>
+#include <cstdint>
 
 #include "net/host.hpp"
 #include "net/network.hpp"
+#include "net/queue.hpp"
 #include "net/router.hpp"
 #include "sim/simulator.hpp"
 
 namespace hbp::net {
+
+// DropTailQueue's test seam: breaks a live queue's accounting in place.
+struct QueueFault {
+  // Discards the oldest stored packet without counting a drop: the queue
+  // accepted it, but no link will ever deliver it, so the quiescent
+  // conservation check (nothing left in flight) must fire.
+  static void lose_packet(DropTailQueue& q) {
+    q.bytes_ -= q.q_.front().size_bytes;
+    q.q_.pop_front();
+  }
+
+  // Adds bytes to the ledger that no stored packet holds: once drained the
+  // queue still claims them (always-on check), and while packets remain
+  // only the strict recount disagrees with the ledger.
+  static void skew_ledger(DropTailQueue& q, std::int64_t bytes) {
+    q.bytes_ += bytes;
+  }
+};
+
 namespace {
-
-// Accepts every packet into its accounting but silently discards every
-// second one — packets vanish without a drop record, so the quiescent
-// conservation check (transmitted == delivered + drops) must fire.
-class LossyQueue final : public PacketQueue {
- public:
-  bool enqueue(sim::Packet&& p) override {
-    count_accept();
-    if (++seen_ % 2 == 0) return true;  // pretend accepted, never stored
-    bytes_ += p.size_bytes;
-    q_.push_back(std::move(p));
-    return true;
-  }
-  std::optional<sim::Packet> dequeue() override {
-    if (q_.empty()) return std::nullopt;
-    sim::Packet p = std::move(q_.front());
-    q_.pop_front();
-    bytes_ -= p.size_bytes;
-    return p;
-  }
-  std::int64_t byte_length() const override { return bytes_; }
-  std::size_t packet_length() const override { return q_.size(); }
-
- private:
-  std::uint64_t seen_ = 0;
-  std::int64_t bytes_ = 0;
-  std::deque<sim::Packet> q_;
-};
-
-// Forgets to subtract bytes on dequeue: the ledger drifts upward, so an
-// emptied queue reports non-zero bytes (always-on check) and the strict
-// recount disagrees with the ledger.
-class MiscountQueue final : public PacketQueue {
- public:
-  bool enqueue(sim::Packet&& p) override {
-    count_accept();
-    bytes_ += p.size_bytes;
-    q_.push_back(std::move(p));
-    return true;
-  }
-  std::optional<sim::Packet> dequeue() override {
-    if (q_.empty()) return std::nullopt;
-    sim::Packet p = std::move(q_.front());
-    q_.pop_front();
-    // bug under test: bytes_ not decremented
-    return p;
-  }
-  std::int64_t byte_length() const override { return bytes_; }
-  std::size_t packet_length() const override { return q_.size(); }
-  std::int64_t recount_bytes() const override {
-    std::int64_t total = 0;
-    for (const sim::Packet& p : q_) total += p.size_bytes;
-    return total;
-  }
-
- private:
-  std::int64_t bytes_ = 0;
-  std::deque<sim::Packet> q_;
-};
 
 struct Net {
   static void sink(const sim::Packet&) {}
@@ -98,6 +57,9 @@ struct Net {
       a->send(std::move(p));
     }
   }
+
+  // The output queue of a's link to the router, where blast() backs up.
+  DropTailQueue& first_queue() { return network.link(a->id(), 0).queue(); }
 
   sim::Simulator simulator;
   Network network;
@@ -149,21 +111,22 @@ TEST(InvariantChecker, StrictModePassesOnHealthyQueues) {
 }
 
 TEST(InvariantChecker, DetectsSilentlyLostPackets) {
-  LinkParams lossy;
-  lossy.queue_factory = [] { return std::make_unique<LossyQueue>(); };
-  Net net(lossy);
+  Net net;
   net.blast(10);
+  ASSERT_GT(net.first_queue().packet_length(), 0u);
+  QueueFault::lose_packet(net.first_queue());
   net.simulator.run_all();
   InvariantChecker checker(net.network);
+  // The counters still balance; only quiescence exposes the lost packet.
+  EXPECT_TRUE(checker.check().empty());
   const auto violations = checker.check_quiescent();
   EXPECT_FALSE(violations.empty());
 }
 
 TEST(InvariantChecker, DetectsCorruptByteLedger) {
-  LinkParams miscounting;
-  miscounting.queue_factory = [] { return std::make_unique<MiscountQueue>(); };
-  Net net(miscounting);
+  Net net;
   net.blast(5);
+  QueueFault::skew_ledger(net.first_queue(), 1000);
   net.simulator.run_all();
   // Always-on check: the drained queue still claims bytes.
   InvariantChecker checker(net.network);
@@ -171,13 +134,15 @@ TEST(InvariantChecker, DetectsCorruptByteLedger) {
 }
 
 TEST(InvariantChecker, StrictRecountCatchesLedgerDrift) {
-  LinkParams miscounting;
-  miscounting.queue_factory = [] { return std::make_unique<MiscountQueue>(); };
-  Net net(miscounting);
+  Net net;
   net.blast(20);
   // Mid-flight: queues are non-empty, so only the strict recount can see
   // that the ledger disagrees with the stored packets.
   net.simulator.run_until(sim::SimTime::micros(2500));
+  ASSERT_GT(net.first_queue().packet_length(), 0u);
+  QueueFault::skew_ledger(net.first_queue(), 1000);
+  InvariantChecker lenient(net.network);
+  EXPECT_TRUE(lenient.check().empty());
   InvariantChecker::Options opts;
   opts.strict = true;
   InvariantChecker strict(net.network, opts);
@@ -187,12 +152,9 @@ TEST(InvariantChecker, StrictRecountCatchesLedgerDrift) {
 TEST(InvariantChecker, ExpectOkAbortsOnViolation) {
   EXPECT_DEATH(
       {
-        LinkParams miscounting;
-        miscounting.queue_factory = [] {
-          return std::make_unique<MiscountQueue>();
-        };
-        Net net(miscounting);
+        Net net;
         net.blast(5);
+        QueueFault::skew_ledger(net.first_queue(), 1000);
         net.simulator.run_all();
         InvariantChecker checker(net.network);
         checker.expect_ok();

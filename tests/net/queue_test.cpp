@@ -55,5 +55,25 @@ TEST(DropTailQueue, CountsDroppedBytes) {
   EXPECT_EQ(q.accepted(), 2u);
 }
 
+TEST(DropTailQueue, TracksPeakBytes) {
+  DropTailQueue q(2000);
+  EXPECT_EQ(q.peak_bytes(), 0);
+  EXPECT_TRUE(q.enqueue(packet(800)));
+  EXPECT_TRUE(q.enqueue(packet(700)));
+  EXPECT_EQ(q.peak_bytes(), 1500);
+  // A rejected packet never occupied the queue: 1500 + 600 > 2000.
+  EXPECT_FALSE(q.enqueue(packet(600)));
+  EXPECT_EQ(q.peak_bytes(), 1500);
+  // Draining keeps the high-water mark; refilling below it leaves it alone.
+  q.dequeue();
+  q.dequeue();
+  EXPECT_EQ(q.byte_length(), 0);
+  EXPECT_EQ(q.peak_bytes(), 1500);
+  EXPECT_TRUE(q.enqueue(packet(1000)));
+  EXPECT_EQ(q.peak_bytes(), 1500);
+  EXPECT_TRUE(q.enqueue(packet(900)));
+  EXPECT_EQ(q.peak_bytes(), 1900);
+}
+
 }  // namespace
 }  // namespace hbp::net

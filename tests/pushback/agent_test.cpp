@@ -15,7 +15,6 @@
 #include "net/host.hpp"
 #include "net/network.hpp"
 #include "traffic/cbr.hpp"
-#include "traffic/spoof.hpp"
 
 namespace hbp::pushback {
 namespace {
@@ -85,8 +84,7 @@ void run_flood_and_client(YNetwork& y) {
   flood.rate_bps = 10e6;
   flood.is_attack = true;
   traffic::CbrSource bad(y.simulator, *y.attacker, y.rng, flood,
-                         [&y] { return y.server->address(); },
-                         traffic::random_spoof());
+                         [&y] { return y.server->address(); });
   bad.start();
   util::Rng rng2(99);
   traffic::CbrParams legit;
@@ -103,8 +101,7 @@ TEST_F(PushbackFixture, DetectsCongestionAndCreatesSession) {
   flood.rate_bps = 10e6;  // 5x the thin link
   flood.is_attack = true;
   traffic::CbrSource source(simulator, *attacker, rng, flood,
-                            [this] { return server->address(); },
-                            traffic::random_spoof());
+                            [this] { return server->address(); });
   source.start();
   simulator.run_until(sim::SimTime::seconds(5));
   EXPECT_GE(system->agent(congested->id())->active_sessions(), 1u);
@@ -117,8 +114,7 @@ TEST_F(PushbackFixture, PropagatesUpstream) {
   flood.rate_bps = 10e6;
   flood.is_attack = true;
   traffic::CbrSource source(simulator, *attacker, rng, flood,
-                            [this] { return server->address(); },
-                            traffic::random_spoof());
+                            [this] { return server->address(); });
   source.start();
   simulator.run_until(sim::SimTime::seconds(6));
   EXPECT_GT(system->requests_sent(), 0u);
@@ -133,8 +129,7 @@ TEST_F(PushbackFixture, ProtectsLinkUtilization) {
   flood.rate_bps = 20e6;  // 10x overload
   flood.is_attack = true;
   traffic::CbrSource source(simulator, *attacker, rng, flood,
-                            [this] { return server->address(); },
-                            traffic::random_spoof());
+                            [this] { return server->address(); });
   source.start();
   simulator.run_until(sim::SimTime::seconds(10));
   // After control engages, offered load at the thin link is near target:
@@ -155,8 +150,7 @@ TEST_F(PushbackFixture, SessionsExpireAfterAttackEnds) {
   flood.is_attack = true;
   flood.stop = sim::SimTime::seconds(5);
   traffic::CbrSource source(simulator, *attacker, rng, flood,
-                            [this] { return server->address(); },
-                            traffic::random_spoof());
+                            [this] { return server->address(); });
   source.start();
   simulator.run_until(sim::SimTime::seconds(5));
   EXPECT_GT(system->total_sessions(), 0u);
@@ -174,8 +168,7 @@ TEST_F(PushbackFixture, InnocentBystanderSharesAggregatePain) {
   flood.rate_bps = 10e6;
   flood.is_attack = true;
   traffic::CbrSource bad(simulator, *attacker, rng, flood,
-                         [this] { return server->address(); },
-                         traffic::random_spoof());
+                         [this] { return server->address(); });
   bad.start();
   util::Rng rng2(99);
   traffic::CbrParams legit;
@@ -216,8 +209,7 @@ TEST_F(PushbackFixture, DropsBeforeInstallDoNotCount) {
   flood.is_attack = true;
   flood.stop = sim::SimTime::seconds(1);
   traffic::CbrSource bad(simulator, *attacker, rng, flood,
-                         [this] { return server->address(); },
-                         traffic::random_spoof());
+                         [this] { return server->address(); });
   bad.start();
   util::Rng rng2(99);
   traffic::CbrParams legit;

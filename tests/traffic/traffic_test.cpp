@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "net/host.hpp"
 #include "net/network.hpp"
 #include "net/router.hpp"
@@ -8,7 +10,6 @@
 #include "traffic/follower.hpp"
 #include "traffic/onoff.hpp"
 #include "traffic/probe.hpp"
-#include "traffic/spoof.hpp"
 
 namespace hbp::traffic {
 namespace {
@@ -89,35 +90,17 @@ TEST_F(TrafficFixture, CbrSkipsWhenDstIsZero) {
   EXPECT_EQ(cbr.packets_sent(), 0u);
 }
 
-TEST_F(TrafficFixture, SpoofPoliciesShapeSource) {
-  sim::Address last_src = 0;
-  auto on_packet = [&](const sim::Packet& p) { last_src = p.src; };
+TEST_F(TrafficFixture, LegitimateSourceKeepsItsAddress) {
+  std::set<sim::Address> sources;
+  auto on_packet = [&](const sim::Packet& p) { sources.insert(p.src); };
   dst->set_receiver(on_packet);
-
   CbrParams params;
   params.rate_bps = 8e6;
-  {
-    CbrSource cbr(simulator, *src, rng, params,
-                  [this] { return dst->address(); }, no_spoof());
-    cbr.start();
-    simulator.run_until(simulator.now() + sim::SimTime::millis(200));
-    EXPECT_EQ(last_src, src->address());
-  }
-  {
-    CbrSource cbr(simulator, *src, rng, params,
-                  [this] { return dst->address(); }, fixed_spoof(777));
-    cbr.start();
-    simulator.run_until(simulator.now() + sim::SimTime::millis(200));
-    EXPECT_EQ(last_src, 777u);
-  }
-  {
-    CbrSource cbr(simulator, *src, rng, params,
-                  [this] { return dst->address(); }, subnet_spoof(5000, 10));
-    cbr.start();
-    simulator.run_until(simulator.now() + sim::SimTime::millis(200));
-    EXPECT_GE(last_src, 5000u);
-    EXPECT_LT(last_src, 5010u);
-  }
+  CbrSource cbr(simulator, *src, rng, params,
+                [this] { return dst->address(); });
+  cbr.start();
+  simulator.run_until(sim::SimTime::millis(200));
+  EXPECT_EQ(sources, std::set<sim::Address>{src->address()});
 }
 
 TEST_F(TrafficFixture, RandomSpoofVariesPerPacket) {
@@ -126,11 +109,13 @@ TEST_F(TrafficFixture, RandomSpoofVariesPerPacket) {
   dst->set_receiver(on_packet);
   CbrParams params;
   params.rate_bps = 8e6;  // 1000 pps
+  params.is_attack = true;
   CbrSource cbr(simulator, *src, rng, params,
-                [this] { return dst->address(); }, random_spoof());
+                [this] { return dst->address(); });
   cbr.start();
   simulator.run_until(sim::SimTime::seconds(1));
   EXPECT_GT(sources.size(), 900u);  // essentially all distinct
+  EXPECT_EQ(sources.count(0), 0u);  // 0 marks an unassigned address
 }
 
 TEST_F(TrafficFixture, OnOffDutyCycle) {
